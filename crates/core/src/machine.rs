@@ -1966,45 +1966,64 @@ impl RmtMachine {
         slot: crate::bytecode::ModelSlot,
         spec: ModelSpec,
     ) -> Result<(), VmError> {
+        self.update_models(prog, vec![(slot, spec)])
+    }
+
+    /// Replaces several of a program's models as one reconfiguration:
+    /// every replacement is re-verified (see
+    /// [`RmtMachine::update_model`]) before any is swapped in, so a
+    /// rejected push leaves every slot as it was, and an accepted one
+    /// costs one generation bump and one fusion re-plan however many
+    /// models it carries.
+    pub fn update_models(
+        &mut self,
+        prog: ProgId,
+        pushes: Vec<(crate::bytecode::ModelSlot, ModelSpec)>,
+    ) -> Result<(), VmError> {
         let inst = self
             .programs
             .get_mut(&prog.0)
             .ok_or(VmError::NoSuchProgram(prog.0))?;
-        let def = inst
-            .prog
-            .models
-            .get_mut(slot.0 as usize)
-            .ok_or(VmError::NoSuchModel(slot.0))?;
-        if spec.n_features() != def.spec.n_features() {
-            return Err(VmError::BadEntry(format!(
-                "model arity {} != {}",
-                spec.n_features(),
-                def.spec.n_features()
-            )));
+        for (slot, spec) in &pushes {
+            let def = inst
+                .prog
+                .models
+                .get(slot.0 as usize)
+                .ok_or(VmError::NoSuchModel(slot.0))?;
+            if spec.n_features() != def.spec.n_features() {
+                return Err(VmError::BadEntry(format!(
+                    "model arity {} != {}",
+                    spec.n_features(),
+                    def.spec.n_features()
+                )));
+            }
+            CostBudget::for_class(def.latency_class)
+                .admit(&spec.cost())
+                .map_err(|source| {
+                    VmError::Verify(crate::error::VerifyError::ModelOverBudget {
+                        model: slot.0,
+                        source,
+                    })
+                })?;
         }
-        CostBudget::for_class(def.latency_class)
-            .admit(&spec.cost())
-            .map_err(|source| {
-                VmError::Verify(crate::error::VerifyError::ModelOverBudget {
-                    model: slot.0,
-                    source,
-                })
-            })?;
-        def.spec = spec;
-        // The swapped-in model starts with a clean prequential window
-        // and drift latch — the old model's recent accuracy says
-        // nothing about its replacement. Cumulative counters (served,
-        // confusion, latency) survive: they describe the slot's
-        // lifetime, and obs_reset is the explicit way to clear them.
-        if let Some(ms) = inst.model_stats.get_mut(slot.0 as usize) {
-            ms.reset_windows();
+        for (slot, spec) in pushes {
+            inst.prog.models[slot.0 as usize].spec = spec;
+            // The swapped-in model starts with a clean prequential
+            // window and drift latch — the old model's recent accuracy
+            // says nothing about its replacement. Cumulative counters
+            // (served, confusion, latency) survive: they describe the
+            // slot's lifetime, and obs_reset is the explicit way to
+            // clear them.
+            if let Some(ms) = inst.model_stats.get_mut(slot.0 as usize) {
+                ms.reset_windows();
+            }
+            self.obs.ring.push(TraceEvent {
+                tick: self.tick,
+                prog: prog.0,
+                kind: TraceKind::ModelSwap,
+                info: slot.0 as i64,
+            });
         }
-        self.obs.ring.push(TraceEvent {
-            tick: self.tick,
-            prog: prog.0,
-            kind: TraceKind::ModelSwap,
-            info: slot.0 as i64,
-        });
         // Model behavior feeds tail-call decisions; cached chains
         // recorded against the old model must not replay, and fused
         // bodies must be re-planned (fusion already refuses CallMl
@@ -2107,6 +2126,21 @@ impl RmtMachine {
             .get_mut(map.0 as usize)
             .ok_or(VmError::MapError("no such map"))?
             .update(key, value)
+    }
+
+    /// Control-plane map delete, with the kind-specific meaning of
+    /// [`crate::maps::MapInstance::delete`]; returns whether anything
+    /// was removed.
+    pub fn map_delete(&mut self, prog: ProgId, map: MapId, key: u64) -> Result<bool, VmError> {
+        let inst = self
+            .programs
+            .get_mut(&prog.0)
+            .ok_or(VmError::NoSuchProgram(prog.0))?;
+        Ok(inst
+            .maps
+            .get_mut(map.0 as usize)
+            .ok_or(VmError::MapError("no such map"))?
+            .delete(key))
     }
 
     /// Control-plane map read. Reads of shared maps go through DP and
@@ -3259,6 +3293,81 @@ mod tests {
     }
 
     #[test]
+    fn update_models_is_one_all_or_nothing_reconfiguration() {
+        use rkd_ml::cost::LatencyClass;
+        use rkd_ml::fixed::Fix;
+        use rkd_ml::svm::IntSvm;
+        // sign(w * x): class 1 for x > 0 when w = 1, class 0 when w = -1.
+        let svm = |w: Fix| {
+            ModelSpec::Svm(IntSvm {
+                weights: vec![w],
+                bias: Fix::ZERO,
+            })
+        };
+        let mut b = ProgramBuilder::new("two_models");
+        let f = b.field_readonly("x");
+        let mut slots = Vec::new();
+        for i in 0..2 {
+            let slot = b.model(&format!("m{i}"), svm(Fix::ONE), LatencyClass::Scheduler);
+            let act = b.action(Action::new(
+                &format!("ml{i}"),
+                vec![
+                    Insn::VectorLdCtxt {
+                        dst: crate::bytecode::VReg(0),
+                        base: f,
+                        len: 1,
+                    },
+                    Insn::CallMl {
+                        model: slot,
+                        src: crate::bytecode::VReg(0),
+                    },
+                    Insn::Exit,
+                ],
+            ));
+            b.table(
+                &format!("t{i}"),
+                &format!("h{i}"),
+                &[f],
+                MatchKind::Exact,
+                Some(act),
+                4,
+            );
+            slots.push(slot);
+        }
+        let mut m = RmtMachine::new();
+        let id = m
+            .install(verify(b.build()).unwrap(), ExecMode::Interp)
+            .unwrap();
+        let verdicts = |m: &mut RmtMachine| {
+            ["h0", "h1"].map(|h| m.fire(h, &mut Ctxt::from_values(vec![9])).verdict())
+        };
+        assert_eq!(verdicts(&mut m), [Some(1), Some(1)]);
+        // One bad spec (wrong arity) rejects the whole push: the good
+        // one is not swapped in and the generation does not move.
+        let gen = m.table_generation();
+        let wide = ModelSpec::Svm(IntSvm {
+            weights: vec![Fix::ONE; 2],
+            bias: Fix::ZERO,
+        });
+        assert!(m
+            .update_models(id, vec![(slots[0], svm(Fix::NEG_ONE)), (slots[1], wide)])
+            .is_err());
+        assert!(m
+            .update_models(id, vec![(crate::bytecode::ModelSlot(9), svm(Fix::ONE))])
+            .is_err());
+        assert_eq!(m.table_generation(), gen);
+        assert_eq!(verdicts(&mut m), [Some(1), Some(1)]);
+        // Both good: both swapped, one bump.
+        m.update_models(
+            id,
+            vec![(slots[0], svm(Fix::NEG_ONE)), (slots[1], svm(Fix::NEG_ONE))],
+        )
+        .unwrap();
+        assert_eq!(m.table_generation(), gen + 1);
+        assert_eq!(verdicts(&mut m), [Some(0), Some(0)]);
+    }
+
+    #[test]
     fn model_outcomes_drive_drift_latch_and_swap_clears_it() {
         let (mut m, id, slot) = ml_machine(ExecMode::Interp);
         m.set_obs_config(ObsConfig {
@@ -3372,6 +3481,11 @@ mod tests {
         m.map_update(id, m_priv, 5, 123).unwrap();
         assert_eq!(m.map_lookup(id, m_priv, 5).unwrap(), Some(123));
         assert_eq!(m.map_lookup(id, m_priv, 6).unwrap(), None);
+        // Delete frees the key's slot; a second delete finds nothing.
+        assert!(m.map_delete(id, m_priv, 5).unwrap());
+        assert!(!m.map_delete(id, m_priv, 5).unwrap());
+        assert_eq!(m.map_lookup(id, m_priv, 5).unwrap(), None);
+        assert!(m.map_delete(id, MapId(9), 5).is_err());
         // Shared map reads are noised and charge the ledger.
         m.map_update(id, m_shared, 0, 1000).unwrap();
         let before = m.privacy_remaining(id).unwrap();

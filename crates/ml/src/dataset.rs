@@ -180,6 +180,15 @@ impl Dataset {
         Ok((out, ranges))
     }
 
+    /// The presorted column view of the features, and the labels
+    /// beside it.
+    pub fn to_columns(&self) -> Result<(FeatureMatrix, Vec<usize>), MlError> {
+        let matrix = FeatureMatrix::from_fn(self.len(), self.n_features, |r, f| {
+            self.samples[r].features[f]
+        })?;
+        Ok((matrix, self.samples.iter().map(|s| s.label).collect()))
+    }
+
     /// Counts samples per class label.
     pub fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_classes];
@@ -188,6 +197,84 @@ impl Dataset {
         }
         counts
     }
+}
+
+/// Column-major, presorted view of a feature table — what the tree
+/// trainer consumes ([`crate::tree::DecisionTree::train_columns`]).
+///
+/// Every feature column is stored once, sorted by value, as packed
+/// `(value, row)` keys. The sort is paid when the matrix is built, so
+/// one matrix serves any number of label vectors: the prefetcher's
+/// cascade trains one tree per lookahead depth over the same features.
+#[derive(Clone, Debug)]
+pub struct FeatureMatrix {
+    n_rows: usize,
+    n_features: usize,
+    /// `n_features` runs of `n_rows` keys, each run ascending.
+    sorted: Vec<u64>,
+}
+
+impl FeatureMatrix {
+    /// Builds the matrix from `value(row, feature)`.
+    ///
+    /// Returns [`MlError::ShapeMismatch`] when `n_rows` does not fit the
+    /// 32-bit row id of a key.
+    pub fn from_fn(
+        n_rows: usize,
+        n_features: usize,
+        mut value: impl FnMut(usize, usize) -> Fix,
+    ) -> Result<FeatureMatrix, MlError> {
+        if u32::try_from(n_rows).is_err() {
+            return Err(MlError::ShapeMismatch {
+                expected: u32::MAX as usize,
+                got: n_rows,
+            });
+        }
+        let mut sorted = Vec::with_capacity(n_rows * n_features);
+        for f in 0..n_features {
+            sorted.extend((0..n_rows).map(|r| pack_key(value(r, f), r as u32)));
+            // Keys are distinct (the row id breaks ties), so the
+            // unstable sort yields the stable order.
+            sorted[f * n_rows..].sort_unstable();
+        }
+        Ok(FeatureMatrix {
+            n_rows,
+            n_features,
+            sorted,
+        })
+    }
+
+    /// Number of rows (samples).
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Number of feature columns.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// The presorted columns, feature-major.
+    pub(crate) fn sorted_keys(&self) -> &[u64] {
+        &self.sorted
+    }
+}
+
+/// Packs a feature value and its row id so that `u64` order is
+/// `(value, row)` order: the value's sign bit is flipped into offset
+/// binary and takes the high half.
+fn pack_key(value: Fix, row: u32) -> u64 {
+    (((value.raw() as u32) ^ 0x8000_0000) as u64) << 32 | row as u64
+}
+
+/// The feature value of a packed key.
+pub(crate) fn key_value(key: u64) -> Fix {
+    Fix::from_raw(((key >> 32) as u32 ^ 0x8000_0000) as i32)
+}
+
+/// The row id of a packed key.
+pub(crate) fn key_row(key: u64) -> usize {
+    key as u32 as usize
 }
 
 /// Applies the min/max normalization transform computed by

@@ -10,8 +10,18 @@
 //! Training is exact (no floating point is needed even for Gini: we
 //! compare impurities via cross-multiplied integer arithmetic), so the
 //! same code can run "in kernel" for online learning.
+//!
+//! The split search is a presorted CART: every feature column is sorted
+//! once, before the root ([`FeatureMatrix`]), a node is the same
+//! `[lo, hi)` range of every sorted column, and a split partitions
+//! those ranges stably so both children stay sorted. A node then costs
+//! one allocation-free sweep per feature instead of a sort. Threshold
+//! subsampling (`max_thresholds`) bounds the candidates scored per
+//! sweep, not the sweep itself: training a 256-sample window is linear
+//! in `samples x features x depth`. DESIGN.md "Online training cost"
+//! has the measured budget.
 
-use crate::dataset::Dataset;
+use crate::dataset::{key_row, key_value, Dataset, FeatureMatrix};
 use crate::error::MlError;
 use crate::fixed::Fix;
 
@@ -23,8 +33,9 @@ pub struct TreeConfig {
     pub max_depth: usize,
     /// Minimum number of samples required to attempt a split.
     pub min_samples_split: usize,
-    /// Maximum number of candidate thresholds evaluated per feature
-    /// (quantile subsampling keeps online training cheap).
+    /// Candidate thresholds per feature and node: every
+    /// `boundaries / max_thresholds`-th boundary between distinct
+    /// values is scored.
     pub max_thresholds: usize,
 }
 
@@ -78,18 +89,52 @@ impl DecisionTree {
     /// [`MlError::InvalidHyperparameter`] for a zero depth/threshold
     /// budget.
     pub fn train(data: &Dataset, cfg: &TreeConfig) -> Result<DecisionTree, MlError> {
-        if data.is_empty() {
+        let (matrix, labels) = data.to_columns()?;
+        DecisionTree::train_columns(&matrix, &labels, cfg)
+    }
+
+    /// Trains a tree on presorted feature columns and one label per
+    /// row. The matrix is not consumed: train once per label vector.
+    ///
+    /// Returns [`MlError::ShapeMismatch`] when `labels` does not have
+    /// one entry per row, and the errors of [`DecisionTree::train`].
+    pub fn train_columns(
+        matrix: &FeatureMatrix,
+        labels: &[usize],
+        cfg: &TreeConfig,
+    ) -> Result<DecisionTree, MlError> {
+        if labels.len() != matrix.n_rows() {
+            return Err(MlError::ShapeMismatch {
+                expected: matrix.n_rows(),
+                got: labels.len(),
+            });
+        }
+        if labels.is_empty() {
             return Err(MlError::EmptyDataset);
         }
         if cfg.max_thresholds == 0 {
             return Err(MlError::InvalidHyperparameter("max_thresholds"));
         }
-        let idx: Vec<usize> = (0..data.len()).collect();
-        let root = build(data, &idx, cfg, 0);
+        let n_classes = labels.iter().max().map_or(0, |&m| m + 1);
+        let mut counts = vec![0u64; n_classes];
+        for &label in labels {
+            counts[label] += 1;
+        }
+        let mut trainer = Trainer {
+            labels,
+            cfg,
+            n_rows: matrix.n_rows(),
+            n_features: matrix.n_features(),
+            keys: matrix.sorted_keys().to_vec(),
+            goes_left: vec![false; matrix.n_rows()],
+            spill: vec![0; matrix.n_rows()],
+            left: vec![0; n_classes],
+            bounds: Vec::new(),
+        };
         Ok(DecisionTree {
-            root,
-            n_features: data.n_features(),
-            n_classes: data.n_classes(),
+            root: trainer.grow(0, matrix.n_rows(), 0, counts),
+            n_features: matrix.n_features(),
+            n_classes,
         })
     }
 
@@ -284,50 +329,6 @@ impl DecisionTree {
     }
 }
 
-/// Builds a subtree over the sample indices `idx`.
-fn build(data: &Dataset, idx: &[usize], cfg: &TreeConfig, depth: usize) -> Node {
-    let counts = class_counts(data, idx);
-    let majority = argmax_u64(&counts);
-    let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
-    if pure || depth >= cfg.max_depth || idx.len() < cfg.min_samples_split {
-        return Node::Leaf {
-            label: majority,
-            counts,
-        };
-    }
-    match best_split(data, idx, cfg) {
-        Some((feature, threshold)) => {
-            let (li, ri): (Vec<usize>, Vec<usize>) = idx
-                .iter()
-                .partition(|&&i| data.samples()[i].features[feature] <= threshold);
-            if li.is_empty() || ri.is_empty() {
-                return Node::Leaf {
-                    label: majority,
-                    counts,
-                };
-            }
-            Node::Split {
-                feature,
-                threshold,
-                left: Box::new(build(data, &li, cfg, depth + 1)),
-                right: Box::new(build(data, &ri, cfg, depth + 1)),
-            }
-        }
-        None => Node::Leaf {
-            label: majority,
-            counts,
-        },
-    }
-}
-
-fn class_counts(data: &Dataset, idx: &[usize]) -> Vec<u64> {
-    let mut counts = vec![0u64; data.n_classes().max(1)];
-    for &i in idx {
-        counts[data.samples()[i].label] += 1;
-    }
-    counts
-}
-
 fn argmax_u64(counts: &[u64]) -> usize {
     let mut best = 0;
     for (i, &c) in counts.iter().enumerate() {
@@ -357,62 +358,296 @@ impl SplitScore {
     }
 }
 
-fn best_split(data: &Dataset, idx: &[usize], cfg: &TreeConfig) -> Option<(usize, Fix)> {
-    let n_classes = data.n_classes().max(1);
-    let mut best: Option<(usize, Fix, SplitScore)> = None;
-    for f in 0..data.n_features() {
-        // Gather sorted (value, label) pairs for this feature.
-        let mut vals: Vec<(Fix, usize)> = idx
-            .iter()
-            .map(|&i| (data.samples()[i].features[f], data.samples()[i].label))
-            .collect();
-        vals.sort_by_key(|&(v, _)| v);
-        // Candidate thresholds: boundaries between distinct values,
-        // subsampled down to max_thresholds.
-        let mut boundaries: Vec<usize> = Vec::new();
-        for w in 1..vals.len() {
-            if vals[w].0 != vals[w - 1].0 {
-                boundaries.push(w);
-            }
-        }
-        if boundaries.is_empty() {
-            continue;
-        }
-        let step = (boundaries.len() / cfg.max_thresholds).max(1);
-        // Prefix class counts let each candidate be scored in O(classes).
-        let mut prefix = vec![0u64; n_classes];
-        let mut prefixes: Vec<Vec<u64>> = Vec::with_capacity(vals.len() + 1);
-        prefixes.push(prefix.clone());
-        for &(_, label) in &vals {
-            prefix[label] += 1;
-            prefixes.push(prefix.clone());
-        }
-        let total = &prefixes[vals.len()];
-        for bi in (0..boundaries.len()).step_by(step) {
-            let cut = boundaries[bi];
-            let left = &prefixes[cut];
-            let n_left = cut as u128;
-            let n_right = (vals.len() - cut) as u128;
-            let mut left_sq: u128 = 0;
-            let mut right_sq: u128 = 0;
-            for k in 0..n_classes {
-                let l = left[k] as u128;
-                let r = (total[k] - left[k]) as u128;
-                left_sq += l * l;
-                right_sq += r * r;
-            }
-            let score = SplitScore {
-                num: left_sq * n_right + right_sq * n_left,
-                den: n_left * n_right,
+/// A sweep position where the feature value changes: the first `cut`
+/// samples of the node (in this feature's order) would go left.
+struct Boundary {
+    cut: usize,
+    /// `sum_k left[k]^2` over the class counts left of the cut.
+    left_sq: u64,
+    /// `sum_k total[k] * left[k]`; with the node's `sum_k total[k]^2`
+    /// it gives the right side's sum of squares without a second
+    /// count table.
+    cross: u64,
+}
+
+/// Working state of one training run.
+struct Trainer<'a> {
+    labels: &'a [usize],
+    cfg: &'a TreeConfig,
+    n_rows: usize,
+    n_features: usize,
+    /// The matrix's sorted columns, partitioned in place as the tree
+    /// grows: a node owns the same `[lo, hi)` range of every column,
+    /// each still ascending.
+    keys: Vec<u64>,
+    /// By row: which side of the split being applied the row takes.
+    goes_left: Vec<bool>,
+    /// Right-hand keys of the column being partitioned.
+    spill: Vec<u64>,
+    /// Running class counts of the current sweep.
+    left: Vec<u64>,
+    /// Boundaries of the current sweep.
+    bounds: Vec<Boundary>,
+}
+
+impl Trainer<'_> {
+    /// Where rows `[lo, hi)` of column `feature` sit in `keys`.
+    fn span(&self, feature: usize, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        feature * self.n_rows + lo..feature * self.n_rows + hi
+    }
+
+    /// Whether a node of `n` samples with these class counts is a leaf
+    /// before any split is searched.
+    fn stops(&self, n: usize, depth: usize, counts: &[u64]) -> bool {
+        let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
+        pure || depth >= self.cfg.max_depth || n < self.cfg.min_samples_split
+    }
+
+    /// Builds the subtree over rows `[lo, hi)` of every column.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize, counts: Vec<u64>) -> Node {
+        let split = if self.stops(hi - lo, depth, &counts) {
+            None
+        } else {
+            self.best_split(lo, hi, &counts)
+        };
+        let Some((feature, cut)) = split else {
+            return Node::Leaf {
+                label: argmax_u64(&counts),
+                counts,
             };
-            let threshold = vals[cut - 1].0;
-            match &best {
-                Some((_, _, b)) if !score.better_than(b) => {}
-                _ => best = Some((f, threshold, score)),
-            }
+        };
+        // The first `cut` keys of the split feature's range go left.
+        let column = &self.keys[self.span(feature, lo, hi)];
+        let threshold = key_value(column[cut - 1]);
+        let mut left_counts = vec![0u64; counts.len()];
+        for &key in &column[..cut] {
+            left_counts[self.labels[key_row(key)]] += 1;
+        }
+        let mut right_counts = counts;
+        for (r, l) in right_counts.iter_mut().zip(&left_counts) {
+            *r -= l;
+        }
+        // Children that are both leaves never read their columns.
+        if !(self.stops(cut, depth + 1, &left_counts)
+            && self.stops(hi - lo - cut, depth + 1, &right_counts))
+        {
+            self.partition(lo, hi, feature, cut);
+        }
+        Node::Split {
+            feature,
+            threshold,
+            left: Box::new(self.grow(lo, lo + cut, depth + 1, left_counts)),
+            right: Box::new(self.grow(lo + cut, hi, depth + 1, right_counts)),
         }
     }
-    best.map(|(f, t, _)| (f, t))
+
+    /// Finds the best `(feature, cut)` for the node `[lo, hi)` whose
+    /// class counts are `total`: the first `cut` samples in `feature`'s
+    /// order go left. Candidates are visited in feature order, then
+    /// ascending threshold, and a later one must be strictly better.
+    fn best_split(&mut self, lo: usize, hi: usize, total: &[u64]) -> Option<(usize, usize)> {
+        let n = hi - lo;
+        let total_sq: u128 = total.iter().map(|&c| (c as u128) * (c as u128)).sum();
+        let mut best: Option<(usize, usize, SplitScore)> = None;
+        for f in 0..self.n_features {
+            let column = &self.keys[self.span(f, lo, hi)];
+            // Sorted: equal ends mean the column has no boundary.
+            let mut prev = key_value(column[0]);
+            if prev == key_value(column[n - 1]) {
+                continue;
+            }
+            self.left.fill(0);
+            self.bounds.clear();
+            let (mut left_sq, mut cross) = (0u64, 0u64);
+            for (w, &key) in column.iter().enumerate() {
+                if key_value(key) != prev {
+                    prev = key_value(key);
+                    self.bounds.push(Boundary {
+                        cut: w,
+                        left_sq,
+                        cross,
+                    });
+                }
+                let k = self.labels[key_row(key)];
+                // (l + 1)^2 - l^2
+                left_sq += 2 * self.left[k] + 1;
+                self.left[k] += 1;
+                cross += total[k];
+            }
+            let step = (self.bounds.len() / self.cfg.max_thresholds).max(1);
+            for b in self.bounds.iter().step_by(step) {
+                let left_sq = b.left_sq as u128;
+                // sum_k (total[k] - left[k])^2
+                let right_sq = total_sq + left_sq - 2 * b.cross as u128;
+                let (n_left, n_right) = (b.cut as u128, (n - b.cut) as u128);
+                let score = SplitScore {
+                    num: left_sq * n_right + right_sq * n_left,
+                    den: n_left * n_right,
+                };
+                match &best {
+                    Some((_, _, s)) if !score.better_than(s) => {}
+                    _ => best = Some((f, b.cut, score)),
+                }
+            }
+        }
+        best.map(|(f, cut, _)| (f, cut))
+    }
+
+    /// Applies the split "the first `cut` keys of `feature`'s range go
+    /// left" to every other column: a stable partition of `[lo, hi)`,
+    /// so both halves stay sorted. `feature`'s own range already is
+    /// that partition.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, cut: usize) {
+        for (w, &key) in self.keys[self.span(feature, lo, hi)].iter().enumerate() {
+            self.goes_left[key_row(key)] = w < cut;
+        }
+        for g in (0..self.n_features).filter(|&g| g != feature) {
+            let span = self.span(g, lo, hi);
+            let column = &mut self.keys[span];
+            let spill = &mut self.spill[..hi - lo];
+            let (mut l, mut r) = (0, 0);
+            for i in 0..column.len() {
+                let key = column[i];
+                let left = self.goes_left[key_row(key)] as usize;
+                // Both stores, one kept: no branch on the side.
+                column[l] = key;
+                spill[r] = key;
+                l += left;
+                r += 1 - left;
+            }
+            column[l..].copy_from_slice(&spill[..r]);
+        }
+    }
+}
+
+/// The trainer this module had before the presorted one: it re-sorts
+/// every feature at every node. Kept as the oracle the differential
+/// tests and `bench_train` compare against; nothing else may call it.
+#[doc(hidden)]
+pub mod reference {
+    use super::{argmax_u64, DecisionTree, Node, SplitScore, TreeConfig};
+    use crate::dataset::Dataset;
+    use crate::error::MlError;
+    use crate::fixed::Fix;
+
+    /// [`DecisionTree::train`] as it was.
+    pub fn train(data: &Dataset, cfg: &TreeConfig) -> Result<DecisionTree, MlError> {
+        if data.is_empty() {
+            return Err(MlError::EmptyDataset);
+        }
+        if cfg.max_thresholds == 0 {
+            return Err(MlError::InvalidHyperparameter("max_thresholds"));
+        }
+        let idx: Vec<usize> = (0..data.len()).collect();
+        let root = build(data, &idx, cfg, 0);
+        Ok(DecisionTree {
+            root,
+            n_features: data.n_features(),
+            n_classes: data.n_classes(),
+        })
+    }
+
+    /// Builds a subtree over the sample indices `idx`.
+    fn build(data: &Dataset, idx: &[usize], cfg: &TreeConfig, depth: usize) -> Node {
+        let counts = class_counts(data, idx);
+        let majority = argmax_u64(&counts);
+        let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
+        if pure || depth >= cfg.max_depth || idx.len() < cfg.min_samples_split {
+            return Node::Leaf {
+                label: majority,
+                counts,
+            };
+        }
+        match best_split(data, idx, cfg) {
+            Some((feature, threshold)) => {
+                let (li, ri): (Vec<usize>, Vec<usize>) = idx
+                    .iter()
+                    .partition(|&&i| data.samples()[i].features[feature] <= threshold);
+                if li.is_empty() || ri.is_empty() {
+                    return Node::Leaf {
+                        label: majority,
+                        counts,
+                    };
+                }
+                Node::Split {
+                    feature,
+                    threshold,
+                    left: Box::new(build(data, &li, cfg, depth + 1)),
+                    right: Box::new(build(data, &ri, cfg, depth + 1)),
+                }
+            }
+            None => Node::Leaf {
+                label: majority,
+                counts,
+            },
+        }
+    }
+
+    fn class_counts(data: &Dataset, idx: &[usize]) -> Vec<u64> {
+        let mut counts = vec![0u64; data.n_classes().max(1)];
+        for &i in idx {
+            counts[data.samples()[i].label] += 1;
+        }
+        counts
+    }
+
+    fn best_split(data: &Dataset, idx: &[usize], cfg: &TreeConfig) -> Option<(usize, Fix)> {
+        let n_classes = data.n_classes().max(1);
+        let mut best: Option<(usize, Fix, SplitScore)> = None;
+        for f in 0..data.n_features() {
+            // Gather sorted (value, label) pairs for this feature.
+            let mut vals: Vec<(Fix, usize)> = idx
+                .iter()
+                .map(|&i| (data.samples()[i].features[f], data.samples()[i].label))
+                .collect();
+            vals.sort_by_key(|&(v, _)| v);
+            // Candidate thresholds: boundaries between distinct values,
+            // subsampled down to max_thresholds.
+            let mut boundaries: Vec<usize> = Vec::new();
+            for w in 1..vals.len() {
+                if vals[w].0 != vals[w - 1].0 {
+                    boundaries.push(w);
+                }
+            }
+            if boundaries.is_empty() {
+                continue;
+            }
+            let step = (boundaries.len() / cfg.max_thresholds).max(1);
+            // Prefix class counts let each candidate be scored in O(classes).
+            let mut prefix = vec![0u64; n_classes];
+            let mut prefixes: Vec<Vec<u64>> = Vec::with_capacity(vals.len() + 1);
+            prefixes.push(prefix.clone());
+            for &(_, label) in &vals {
+                prefix[label] += 1;
+                prefixes.push(prefix.clone());
+            }
+            let total = &prefixes[vals.len()];
+            for bi in (0..boundaries.len()).step_by(step) {
+                let cut = boundaries[bi];
+                let left = &prefixes[cut];
+                let n_left = cut as u128;
+                let n_right = (vals.len() - cut) as u128;
+                let mut left_sq: u128 = 0;
+                let mut right_sq: u128 = 0;
+                for k in 0..n_classes {
+                    let l = left[k] as u128;
+                    let r = (total[k] - left[k]) as u128;
+                    left_sq += l * l;
+                    right_sq += r * r;
+                }
+                let score = SplitScore {
+                    num: left_sq * n_right + right_sq * n_left,
+                    den: n_left * n_right,
+                };
+                let threshold = vals[cut - 1].0;
+                match &best {
+                    Some((_, _, b)) if !score.better_than(b) => {}
+                    _ => best = Some((f, threshold, score)),
+                }
+            }
+        }
+        best.map(|(f, t, _)| (f, t))
+    }
 }
 
 #[cfg(test)]
@@ -511,6 +746,153 @@ mod tests {
         let imp = tree.gini_importance();
         assert!(imp[0] > 0.99, "importance {imp:?}");
         assert!(imp[1] < 0.01);
+    }
+
+    /// A dataset of `n` samples whose feature values are drawn from
+    /// `0..spread`: a small `spread` makes the columns duplicate-heavy.
+    fn random_dataset(
+        g: &mut rkd_testkit::prop::Gen,
+        n: usize,
+        n_features: usize,
+        n_classes: usize,
+        spread: i64,
+    ) -> Dataset {
+        use rkd_testkit::rng::Rng;
+        let samples = (0..n)
+            .map(|_| Sample {
+                features: (0..n_features)
+                    .map(|_| Fix::from_int(g.gen_range(0..spread) - spread / 2))
+                    .collect(),
+                label: g.gen_range(0..n_classes),
+            })
+            .collect();
+        Dataset::from_samples(samples).unwrap()
+    }
+
+    rkd_testkit::prop_check!(matches_reference_trainer, cases = 1200, |g| {
+        use rkd_testkit::rng::Rng;
+        let n = g.gen_range(1..300usize);
+        let n_features = g.gen_range(1..12usize);
+        let n_classes = g.gen_range(1..16usize);
+        let spread = [2, 4, 17, 400][g.gen_range(0..4usize)];
+        let ds = random_dataset(g, n, n_features, n_classes, spread);
+        let cfg = TreeConfig {
+            max_depth: g.gen_range(0..10),
+            min_samples_split: g.gen_range(2..6),
+            max_thresholds: g.gen_range(1..33),
+        };
+        let tree = DecisionTree::train(&ds, &cfg).unwrap();
+        assert_eq!(tree, reference::train(&ds, &cfg).unwrap());
+    });
+
+    /// One matrix, several label vectors: each tree equals the one
+    /// trained from a dataset carrying those labels.
+    #[test]
+    fn one_matrix_serves_many_label_vectors() {
+        let mut g = rkd_testkit::prop::Gen::new(7, 1.0);
+        let ds = random_dataset(&mut g, 200, 6, 5, 9);
+        let (matrix, labels) = ds.to_columns().unwrap();
+        let cfg = TreeConfig::default();
+        for shift in 0..3 {
+            let shifted: Vec<usize> = labels.iter().map(|&l| (l + shift) % 5).collect();
+            let relabeled = Dataset::from_samples(
+                ds.samples()
+                    .iter()
+                    .zip(&shifted)
+                    .map(|(s, &label)| Sample {
+                        features: s.features.clone(),
+                        label,
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            assert_eq!(
+                DecisionTree::train_columns(&matrix, &shifted, &cfg).unwrap(),
+                reference::train(&relabeled, &cfg).unwrap()
+            );
+        }
+        assert!(matches!(
+            DecisionTree::train_columns(&matrix, &labels[1..], &cfg),
+            Err(MlError::ShapeMismatch {
+                expected: 200,
+                got: 199
+            })
+        ));
+    }
+
+    /// The shapes a range-and-sweep trainer gets wrong first.
+    #[test]
+    fn edge_shapes_match_reference() {
+        let both = |ds: &Dataset, cfg: &TreeConfig| {
+            let tree = DecisionTree::train(ds, cfg).unwrap();
+            assert_eq!(tree, reference::train(ds, cfg).unwrap());
+            tree
+        };
+        let eager = TreeConfig {
+            max_depth: 10,
+            min_samples_split: 2,
+            max_thresholds: 32,
+        };
+        // Single sample.
+        let one = Dataset::from_samples(vec![Sample::from_f64(&[3.0, -1.0], 2)]).unwrap();
+        let tree = both(&one, &eager);
+        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.n_classes(), 3);
+        // Zero-feature samples: nothing to split on.
+        let bare = Dataset::from_samples(
+            (0..6)
+                .map(|i| Sample {
+                    features: Vec::new(),
+                    label: i % 2,
+                })
+                .collect(),
+        )
+        .unwrap();
+        let tree = both(&bare, &eager);
+        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.predict(&[]).unwrap(), 0);
+        // An all-equal column beside an informative one.
+        let flat = Dataset::from_samples(
+            (0..20)
+                .map(|i| Sample::from_f64(&[5.0, i as f64], (i >= 10) as usize))
+                .collect(),
+        )
+        .unwrap();
+        let tree = both(&flat, &eager);
+        assert!(matches!(tree.root(), Node::Split { feature: 1, .. }));
+        // Only all-equal columns, mixed labels: an impure leaf.
+        let stuck =
+            Dataset::from_samples((0..8).map(|i| Sample::from_f64(&[1.0], i % 2)).collect())
+                .unwrap();
+        assert_eq!(both(&stuck, &eager).node_count(), 1);
+        // More thresholds allowed than boundaries exist (step = 1).
+        let sparse = Dataset::from_samples(
+            (0..9)
+                .map(|i| Sample::from_f64(&[(i / 3) as f64], i % 3))
+                .collect(),
+        )
+        .unwrap();
+        both(
+            &sparse,
+            &TreeConfig {
+                max_thresholds: 1000,
+                ..eager
+            },
+        );
+        // Fewer thresholds than boundaries (step > 1), negative values.
+        let dense = Dataset::from_samples(
+            (0..64)
+                .map(|i| Sample::from_f64(&[(i as f64) - 32.0], (i * 7 % 5 == 0) as usize))
+                .collect(),
+        )
+        .unwrap();
+        both(
+            &dense,
+            &TreeConfig {
+                max_thresholds: 5,
+                ..eager
+            },
+        );
     }
 
     #[test]

@@ -31,13 +31,37 @@ pub enum AccessKind {
     Miss,
 }
 
+/// Index value meaning "no slot" in the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One resident page, linked into the recency list.
+#[derive(Clone, Debug)]
+struct Slot {
+    page: u64,
+    residency: Residency,
+    /// Neighbour toward the most recently used end.
+    newer: u32,
+    /// Neighbour toward the least recently used end.
+    older: u32,
+}
+
 /// An LRU page cache with prefetch accounting.
+///
+/// Recency is a doubly linked list threaded through a slab of slots: a
+/// touch relinks one slot at the head and a fill reuses the tail's, so
+/// every operation is O(1) however large the cache is.
 #[derive(Clone, Debug)]
 pub struct PageCache {
     capacity: usize,
-    /// page -> (residency, lru_stamp).
-    pages: HashMap<u64, (Residency, u64)>,
-    clock: u64,
+    /// page -> slot index.
+    index: HashMap<u64, u32>,
+    slots: Vec<Slot>,
+    /// Most recently used slot.
+    head: u32,
+    /// Least recently used slot: the next victim.
+    tail: u32,
+    /// Resident prefetched pages not yet touched.
+    untouched: u64,
     /// Prefetched pages evicted without ever being touched.
     wasted_evictions: u64,
 }
@@ -47,62 +71,64 @@ impl PageCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity` is zero or does not fit a 32-bit slot index.
     pub fn new(capacity: usize) -> PageCache {
         assert!(capacity > 0, "page cache capacity must be nonzero");
+        assert!(
+            capacity < NIL as usize,
+            "page cache capacity must fit a 32-bit slot index"
+        );
         PageCache {
             capacity,
-            pages: HashMap::new(),
-            clock: 0,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            untouched: 0,
             wasted_evictions: 0,
         }
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.slots.len()
     }
 
     /// Returns `true` when no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.slots.is_empty()
     }
 
     /// Whether a page is currently resident.
     pub fn resident(&self, page: u64) -> bool {
-        self.pages.contains_key(&page)
+        self.index.contains_key(&page)
     }
 
     /// Accesses a page: classifies the access, faults it in if absent,
     /// refreshes LRU, and converts untouched prefetches to used.
     pub fn access(&mut self, page: u64) -> AccessKind {
-        self.clock += 1;
-        let kind = match self.pages.get_mut(&page) {
-            Some((residency, stamp)) => {
-                *stamp = self.clock;
-                match *residency {
-                    Residency::PrefetchedUntouched => {
-                        *residency = Residency::PrefetchedUsed;
-                        AccessKind::PrefetchHit
-                    }
-                    _ => AccessKind::Hit,
-                }
-            }
-            None => {
-                self.insert(page, Residency::Demand);
-                AccessKind::Miss
-            }
+        let Some(&slot) = self.index.get(&page) else {
+            self.insert(page, Residency::Demand);
+            return AccessKind::Miss;
         };
-        kind
+        self.unlink(slot);
+        self.push_head(slot);
+        let residency = &mut self.slots[slot as usize].residency;
+        if *residency == Residency::PrefetchedUntouched {
+            *residency = Residency::PrefetchedUsed;
+            self.untouched -= 1;
+            AccessKind::PrefetchHit
+        } else {
+            AccessKind::Hit
+        }
     }
 
     /// Prefetches a page; returns `true` if it was actually brought in
     /// (already-resident pages are a no-op and not counted as issued).
     pub fn prefetch(&mut self, page: u64) -> bool {
-        if self.pages.contains_key(&page) {
+        if self.index.contains_key(&page) {
             return false;
         }
-        self.clock += 1;
         self.insert(page, Residency::PrefetchedUntouched);
         true
     }
@@ -116,24 +142,160 @@ impl PageCache {
     /// run ended now) — the simulator folds these into the final
     /// accounting.
     pub fn untouched_resident(&self) -> u64 {
-        self.pages
-            .values()
-            .filter(|(r, _)| *r == Residency::PrefetchedUntouched)
-            .count() as u64
+        self.untouched
     }
 
+    /// Makes an absent page the most recently used one, evicting the
+    /// least recently used page when the cache is full.
     fn insert(&mut self, page: u64, residency: Residency) {
-        if self.pages.len() >= self.capacity {
-            // Evict the LRU page.
-            if let Some((&victim, _)) = self.pages.iter().min_by_key(|(_, (_, stamp))| *stamp) {
-                if let Some((r, _)) = self.pages.remove(&victim) {
-                    if r == Residency::PrefetchedUntouched {
-                        self.wasted_evictions += 1;
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(Slot {
+                page,
+                residency,
+                newer: NIL,
+                older: NIL,
+            });
+            (self.slots.len() - 1) as u32
+        } else {
+            let slot = self.tail;
+            self.unlink(slot);
+            let victim = &mut self.slots[slot as usize];
+            self.index.remove(&victim.page);
+            if victim.residency == Residency::PrefetchedUntouched {
+                self.wasted_evictions += 1;
+                self.untouched -= 1;
+            }
+            victim.page = page;
+            victim.residency = residency;
+            slot
+        };
+        if residency == Residency::PrefetchedUntouched {
+            self.untouched += 1;
+        }
+        self.index.insert(page, slot);
+        self.push_head(slot);
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { newer, older, .. } = self.slots[slot as usize];
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    fn push_head(&mut self, slot: u32) {
+        let old_head = self.head;
+        let s = &mut self.slots[slot as usize];
+        s.newer = NIL;
+        s.older = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.slots[h as usize].newer = slot,
+        }
+        self.head = slot;
+    }
+}
+
+/// The cache this module had before the linked recency list: a stamp
+/// per page and a scan of every resident page on each fill. Kept as the
+/// model the property test and `bench_train` compare against; nothing
+/// else may use it.
+#[doc(hidden)]
+pub mod reference {
+    use super::{AccessKind, Residency};
+    use std::collections::HashMap;
+
+    /// [`super::PageCache`] as it was.
+    #[derive(Clone, Debug)]
+    pub struct PageCache {
+        capacity: usize,
+        /// page -> (residency, lru_stamp).
+        pages: HashMap<u64, (Residency, u64)>,
+        clock: u64,
+        wasted_evictions: u64,
+    }
+
+    impl PageCache {
+        pub fn new(capacity: usize) -> PageCache {
+            assert!(capacity > 0, "page cache capacity must be nonzero");
+            PageCache {
+                capacity,
+                pages: HashMap::new(),
+                clock: 0,
+                wasted_evictions: 0,
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.pages.len()
+        }
+
+        pub fn is_empty(&self) -> bool {
+            self.pages.is_empty()
+        }
+
+        pub fn resident(&self, page: u64) -> bool {
+            self.pages.contains_key(&page)
+        }
+
+        pub fn access(&mut self, page: u64) -> AccessKind {
+            self.clock += 1;
+            match self.pages.get_mut(&page) {
+                Some((residency, stamp)) => {
+                    *stamp = self.clock;
+                    match *residency {
+                        Residency::PrefetchedUntouched => {
+                            *residency = Residency::PrefetchedUsed;
+                            AccessKind::PrefetchHit
+                        }
+                        _ => AccessKind::Hit,
                     }
+                }
+                None => {
+                    self.insert(page, Residency::Demand);
+                    AccessKind::Miss
                 }
             }
         }
-        self.pages.insert(page, (residency, self.clock));
+
+        pub fn prefetch(&mut self, page: u64) -> bool {
+            if self.pages.contains_key(&page) {
+                return false;
+            }
+            self.clock += 1;
+            self.insert(page, Residency::PrefetchedUntouched);
+            true
+        }
+
+        pub fn wasted_evictions(&self) -> u64 {
+            self.wasted_evictions
+        }
+
+        pub fn untouched_resident(&self) -> u64 {
+            self.pages
+                .values()
+                .filter(|(r, _)| *r == Residency::PrefetchedUntouched)
+                .count() as u64
+        }
+
+        fn insert(&mut self, page: u64, residency: Residency) {
+            if self.pages.len() >= self.capacity {
+                // Evict the LRU page.
+                if let Some((&victim, _)) = self.pages.iter().min_by_key(|(_, (_, stamp))| *stamp) {
+                    if let Some((r, _)) = self.pages.remove(&victim) {
+                        if r == Residency::PrefetchedUntouched {
+                            self.wasted_evictions += 1;
+                        }
+                    }
+                }
+            }
+            self.pages.insert(page, (residency, self.clock));
+        }
     }
 }
 
@@ -203,6 +365,32 @@ mod tests {
         c.access(1);
         assert_eq!(c.untouched_resident(), 1);
     }
+
+    // Random access/prefetch streams over a page universe a few times
+    // the capacity: every return value and every counter must match
+    // the scan-based model after every step.
+    rkd_testkit::prop_check!(matches_scanning_model, cases = 1000, |g| {
+        use rkd_testkit::rng::Rng;
+        let capacity = [1usize, 2, 512][g.gen_range(0..3usize)];
+        let universe = (capacity as u64) * g.gen_range(1..4u64) + g.gen_range(0..3u64);
+        let steps = g.gen_range(1..(capacity * 4 + 40));
+        let mut cache = PageCache::new(capacity);
+        let mut model = reference::PageCache::new(capacity);
+        for _ in 0..steps {
+            let page = g.gen_range(0..universe);
+            if g.gen_bool(0.4) {
+                assert_eq!(cache.prefetch(page), model.prefetch(page));
+            } else {
+                assert_eq!(cache.access(page), model.access(page));
+            }
+            assert_eq!(cache.len(), model.len());
+            assert_eq!(cache.wasted_evictions(), model.wasted_evictions());
+            assert_eq!(cache.untouched_resident(), model.untouched_resident());
+        }
+        for page in 0..universe {
+            assert_eq!(cache.resident(page), model.resident(page), "page {page}");
+        }
+    });
 
     #[test]
     #[should_panic(expected = "nonzero")]

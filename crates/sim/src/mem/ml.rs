@@ -35,7 +35,7 @@ use rkd_core::prog::{ModelSpec, ProgramBuilder, RateLimitCfg};
 use rkd_core::table::{MatchKind, TableId};
 use rkd_core::verifier::verify;
 use rkd_ml::cost::LatencyClass;
-use rkd_ml::dataset::{Dataset, Sample};
+use rkd_ml::dataset::{Dataset, FeatureMatrix, Sample};
 use rkd_ml::fixed::Fix;
 use rkd_ml::tree::{DecisionTree, TreeConfig};
 use std::collections::{HashMap, VecDeque};
@@ -108,6 +108,7 @@ pub struct MlPrefetcher {
     offset_vocabs: Vec<HashMap<i64, u16>>,
     samples_since_train: usize,
     retrains: u64,
+    rejected_pushes: u64,
     /// Predictions whose ground truth is still in the future; entry at
     /// age `k` resolves depth `k-1` against the next access.
     pending: VecDeque<PendingPrediction>,
@@ -130,7 +131,8 @@ impl MlPrefetcher {
         // context (page mod 256) disambiguates where in a structured
         // run the stream currently is — context stride detectors lack.
         let m_ring = b.map("class_history", MapKind::RingBuf, 2 * cfg.history);
-        let m_classmap = b.map("delta_class", MapKind::Hash, 64);
+        // One key per live delta class; retired deltas are deleted.
+        let m_classmap = b.map("delta_class", MapKind::Hash, cfg.max_classes);
         let m_offsets = b.map("class_offset", MapKind::Array, cfg.depth * cfg.max_classes);
         // Placeholder single-leaf trees (predict CLASS_NONE) until the
         // first window trains; arity must already match.
@@ -355,6 +357,7 @@ impl MlPrefetcher {
             offset_vocabs: vec![HashMap::new(); cfg.depth],
             samples_since_train: 0,
             retrains: 0,
+            rejected_pushes: 0,
             pending: VecDeque::new(),
         }
     }
@@ -362,6 +365,12 @@ impl MlPrefetcher {
     /// Number of background retrains performed.
     pub fn retrains(&self) -> u64 {
         self.retrains
+    }
+
+    /// Retrains whose models the machine refused (over the slot's cost
+    /// budget): the datapath kept the previous window's trees.
+    pub fn rejected_pushes(&self) -> u64 {
+        self.rejected_pushes
     }
 
     /// Datapath statistics of the installed program.
@@ -471,26 +480,27 @@ impl MlPrefetcher {
     }
 
     /// Publishes a rebuilt delta vocabulary to the kernel-side
-    /// classifier map, tombstoning retired entries with `CLASS_NONE`.
-    fn publish_delta_vocab(&mut self, new_vocab: &HashMap<i64, u16>) {
+    /// classifier map. Retired deltas are deleted, not overwritten: a
+    /// key kept as a `CLASS_NONE` tombstone would hold its slot for
+    /// good, and once the map had filled with them no new delta could
+    /// be classified.
+    fn publish_delta_vocab(&mut self, new_vocab: HashMap<i64, u16>) {
         for old_delta in self.delta_vocab.keys() {
             if !new_vocab.contains_key(old_delta) {
-                let _ = self.machine.map_update(
-                    self.prog,
-                    self.m_classmap,
-                    *old_delta as u64,
-                    CLASS_NONE as i64,
-                );
+                self.machine
+                    .map_delete(self.prog, self.m_classmap, *old_delta as u64)
+                    .expect("delta_class map exists");
             }
         }
-        for (&delta, &class) in new_vocab {
+        for (&delta, &class) in &new_vocab {
             if self.delta_vocab.get(&delta) != Some(&class) {
-                let _ =
-                    self.machine
-                        .map_update(self.prog, self.m_classmap, delta as u64, class as i64);
+                // At most `max_classes - 1` live keys after the deletes.
+                self.machine
+                    .map_update(self.prog, self.m_classmap, delta as u64, class as i64)
+                    .expect("delta_class map has room for one vocabulary");
             }
         }
-        self.delta_vocab = new_vocab.clone();
+        self.delta_vocab = new_vocab;
     }
 
     /// Trains one tree per lookahead depth on the recent window and hot-
@@ -498,7 +508,6 @@ impl MlPrefetcher {
     /// per-depth offset classes) are rebuilt from this window too, so
     /// drifted workloads retire stale symbols (§3.1: new trees per
     /// window "while discarding the old ones").
-    #[allow(clippy::needless_range_loop)] // Depth-indexed parallel structures.
     fn retrain(&mut self) {
         let h = self.cfg.history;
         let d = self.cfg.depth;
@@ -510,74 +519,60 @@ impl MlPrefetcher {
         // Rebuild the delta vocabulary from this window and recompute
         // the mirrored class stream against it.
         let new_vocab = Self::windowed_vocab(&self.deltas[start..], self.cfg.max_classes);
-        self.publish_delta_vocab(&new_vocab);
+        self.publish_delta_vocab(new_vocab);
         for t in 0..n {
             self.classes[t] = self.class_for_delta(self.deltas[t]);
         }
-        // Rebuild per-depth offset vocabularies from the window's
-        // cumulative offsets and publish them (stale slots zeroed).
-        let mut cum_offsets: Vec<Vec<i64>> = vec![Vec::new(); d];
-        for t in (start + h)..(n - d) {
-            let mut cum = 0i64;
-            for (i, per_depth) in cum_offsets.iter_mut().enumerate() {
-                cum += self.deltas[t + i];
-                per_depth.push(cum);
-            }
-        }
-        for (i, offsets) in cum_offsets.iter().enumerate() {
-            let vocab = Self::windowed_vocab(offsets, self.cfg.max_classes);
-            for c in 0..self.cfg.max_classes {
-                let index = i * self.cfg.max_classes + c;
-                let _ = self
-                    .machine
-                    .map_update(self.prog, self.m_offsets, index as u64, 0);
-            }
-            for (&offset, &class) in &vocab {
-                let index = i * self.cfg.max_classes + class as usize;
-                let _ = self
-                    .machine
-                    .map_update(self.prog, self.m_offsets, index as u64, offset);
-            }
-            self.offset_vocabs[i] = vocab;
-        }
-        // Build one dataset per depth from the mirrored stream.
-        let mut datasets: Vec<Dataset> = (0..d).map(|_| Dataset::new()).collect();
-        for t in (start + h)..(n - d) {
-            // Interleave (class, position) pairs exactly as the ring
-            // buffer stores them, oldest first.
-            let mut features: Vec<Fix> = Vec::with_capacity(2 * h);
-            for j in (t - h)..t {
-                features.push(Fix::from_int(self.classes[j] as i64));
-                features.push(Fix::from_int(self.positions[j] as i64));
-            }
-            let mut cum = 0i64;
-            for (i, ds) in datasets.iter_mut().enumerate() {
-                cum += self.deltas[t + i];
-                let label = self.offset_vocabs[i]
-                    .get(&cum)
-                    .copied()
-                    .unwrap_or(CLASS_NONE) as usize;
-                let _ = ds.push(Sample {
-                    features: features.clone(),
-                    label,
-                });
-            }
-        }
+        // One sample per access `t` of the window: its features are the
+        // `h` (class, position) pairs before it, interleaved exactly as
+        // the ring buffer stores them, oldest first. The cascade's
+        // trees differ only in their labels, so the columns are built
+        // and sorted once.
+        let samples = (start + h)..(n - d);
+        let matrix = FeatureMatrix::from_fn(samples.len(), 2 * h, |row, feature| {
+            let j = start + row + feature / 2;
+            let v = if feature % 2 == 0 {
+                self.classes[j]
+            } else {
+                self.positions[j]
+            };
+            Fix::from_int(v as i64)
+        })
+        .expect("a training window has far fewer than 2^32 samples");
+        let mut pushes = Vec::with_capacity(d);
         for i in 0..d {
-            if datasets[i].is_empty() {
-                continue;
+            // Depth i predicts the cumulative offset i + 1 accesses
+            // ahead; its vocabulary comes from this window's offsets
+            // and is published with stale slots zeroed.
+            let offsets: Vec<i64> = samples
+                .clone()
+                .map(|t| self.deltas[t..=t + i].iter().sum())
+                .collect();
+            let vocab = Self::windowed_vocab(&offsets, self.cfg.max_classes);
+            let mut by_class = vec![0i64; self.cfg.max_classes];
+            for (&offset, &class) in &vocab {
+                by_class[class as usize] = offset;
             }
-            match DecisionTree::train(&datasets[i], &self.cfg.tree) {
-                Ok(tree) => {
-                    // Hot swap through the verified control-plane path;
-                    // over-budget trees are rejected and the old model
-                    // stays (fail-safe).
-                    let _ =
-                        self.machine
-                            .update_model(self.prog, self.slots[i], ModelSpec::Tree(tree));
-                }
-                Err(_) => continue,
+            for (c, &offset) in by_class.iter().enumerate() {
+                let index = i * self.cfg.max_classes + c;
+                self.machine
+                    .map_update(self.prog, self.m_offsets, index as u64, offset)
+                    .expect("class_offset has depth x max_classes slots");
             }
+            let labels: Vec<usize> = offsets
+                .iter()
+                .map(|cum| vocab.get(cum).copied().unwrap_or(CLASS_NONE) as usize)
+                .collect();
+            self.offset_vocabs[i] = vocab;
+            if let Ok(tree) = DecisionTree::train_columns(&matrix, &labels, &self.cfg.tree) {
+                pushes.push((self.slots[i], ModelSpec::Tree(tree)));
+            }
+        }
+        // Hot swap through the verified control-plane path, the whole
+        // cascade as one reconfiguration; an over-budget tree rejects
+        // it and the old models stay (fail-safe).
+        if self.machine.update_models(self.prog, pushes).is_err() {
+            self.rejected_pushes += 1;
         }
         self.retrains += 1;
         // Keep only the tail needed for sample continuity.
@@ -747,6 +742,39 @@ mod tests {
         // And the flight recorder saw the run (default interval 1024
         // fires; two hooks fire per access).
         assert!(!p.flight_snapshot().frames.is_empty());
+    }
+
+    /// The control plane's delta vocabulary and the datapath's
+    /// `delta_class` map must agree however many deltas the stream has
+    /// gone through: a retired delta leaves the map, so the map never
+    /// fills (it used to, after 64 distinct deltas, and every later
+    /// class insert was dropped).
+    #[test]
+    fn delta_class_map_tracks_the_vocabulary_across_drift() {
+        let mut p = MlPrefetcher::new(MlPrefetchConfig::default());
+        let mut seen = std::collections::BTreeSet::new();
+        let mut page = 1u64 << 20;
+        for phase in 0..12u64 {
+            for i in 0..600u64 {
+                // Eight strides of its own per phase.
+                let stride = 1 + phase * 8 + i % 8;
+                page += stride;
+                seen.insert(stride as i64);
+                let _ = p.on_access(page);
+            }
+        }
+        assert!(seen.len() > 64, "{} distinct deltas", seen.len());
+        assert!(p.retrains() >= 24);
+        assert_eq!(p.rejected_pushes(), 0);
+        assert_eq!(p.delta_vocab.len(), 8, "the last phase's strides");
+        for &delta in &seen {
+            let datapath = p
+                .machine
+                .map_peek(p.prog, p.m_classmap, delta as u64)
+                .unwrap();
+            let mirror = p.delta_vocab.get(&delta).map(|&c| c as i64);
+            assert_eq!(datapath, mirror, "delta {delta}");
+        }
     }
 
     #[test]

@@ -83,6 +83,18 @@ for section in '"chain_fuse_pipeline"' '"chain_fuse_churn"' '"chain_fuse_reval"'
         || { echo "ERROR: BENCH_opt.json missing the $section section" >&2; exit 1; }
 done
 
+echo "==> bench_train smoke (presorted trainer + O(1) page-cache LRU gates)"
+RKD_BENCH_WARMUP_MS=5 RKD_BENCH_MEASURE_MS=20 RKD_BENCH_SAMPLES=5 \
+    cargo bench --offline -q -p rkd-bench --bench bench_train | tee /tmp/rkd_bench_train.out
+if ! grep -q 'speedup_gate tree_train_256x12.*PASS' /tmp/rkd_bench_train.out; then
+    echo "ERROR: tree trainer gate failed (< 3x over the per-node-sort reference on a 256x12 window)" >&2
+    exit 1
+fi
+if ! grep -q 'speedup_gate page_cache_512.*PASS' /tmp/rkd_bench_train.out; then
+    echo "ERROR: page cache gate failed (< 10x over the scanning reference on a full 512-page cache)" >&2
+    exit 1
+fi
+
 echo "==> bench_parallel smoke (sharded scaling gate + BENCH_parallel.json)"
 RKD_BENCH_PARALLEL_JSON="$PWD/BENCH_parallel.json" \
     cargo bench --offline -q -p rkd-bench --bench bench_parallel | tee /tmp/rkd_bench_parallel.out
