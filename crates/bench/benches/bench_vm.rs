@@ -1,5 +1,5 @@
-//! Microbenchmark: interpreter vs JIT dispatch on the Figure 1 datapath,
-//! raw action-execution microbenchmarks, and the optimizer's O0-vs-opt
+//! Microbenchmark: hook dispatch on the Figure 1 datapath, raw
+//! action-execution microbenchmarks, and the optimizer's O0-vs-opt
 //! comparison on a constant-heavy pipeline (gated at ≥1.2× median
 //! speedup; see `vm_opt_pipeline` below).
 //!
@@ -14,7 +14,7 @@ use rkd_core::opt::OptLevel;
 use rkd_core::verifier::verify;
 use rkd_testkit::json::Json;
 
-/// Acceptance gate: the optimized JIT must beat the O0 oracle by at
+/// Acceptance gate: the optimized bodies must beat the O0 oracle by at
 /// least this factor (median) on the constant-heavy pipeline.
 const OPT_GATE_SPEEDUP: f64 = 1.2;
 
@@ -58,7 +58,7 @@ fn hot_action() -> Action {
     )
 }
 
-fn machine_with(mode: ExecMode) -> RmtMachine {
+fn hot_machine() -> RmtMachine {
     let mut b = rkd_core::prog::ProgramBuilder::new("bench");
     let pid = b.field_readonly("pid");
     let act = b.action(hot_action());
@@ -72,22 +72,20 @@ fn machine_with(mode: ExecMode) -> RmtMachine {
     );
     let verified = verify(b.build()).unwrap();
     let mut vm = RmtMachine::new();
-    vm.install(verified, mode).unwrap();
+    vm.install(verified, ExecMode::Jit).unwrap();
     vm
 }
 
 fn bench_dispatch(c: &mut Harness) {
     let mut group = c.benchmark_group("vm_dispatch");
-    for (name, mode) in [("interp", ExecMode::Interp), ("jit", ExecMode::Jit)] {
-        group.bench_function(name, |b| {
-            let mut vm = machine_with(mode);
-            b.iter_batched(
-                || Ctxt::from_values(vec![1]),
-                |mut ctxt| vm.fire("hook", &mut ctxt),
-                BatchSize::SmallInput,
-            );
-        });
-    }
+    group.bench_function("fire", |b| {
+        let mut vm = hot_machine();
+        b.iter_batched(
+            || Ctxt::from_values(vec![1]),
+            |mut ctxt| vm.fire("hook", &mut ctxt),
+            BatchSize::SmallInput,
+        );
+    });
     group.finish();
 }
 
@@ -97,51 +95,47 @@ fn bench_dispatch(c: &mut Harness) {
 /// (and the listener-list clone that rode along with it).
 fn bench_pipeline(c: &mut Harness) {
     let mut group = c.benchmark_group("vm_pipeline_8_tables");
-    for (name, mode) in [("interp", ExecMode::Interp), ("jit", ExecMode::Jit)] {
-        group.bench_function(name, |b| {
-            let mut bld = rkd_core::prog::ProgramBuilder::new("bench");
-            let pid = bld.field_readonly("pid");
-            let act = bld.action(hot_action());
-            for i in 0..8 {
-                bld.table(
-                    &format!("t{i}"),
-                    "hook",
-                    &[pid],
-                    rkd_core::table::MatchKind::Exact,
-                    Some(act),
-                    8,
-                );
-            }
-            let verified = verify(bld.build()).unwrap();
-            let mut vm = RmtMachine::new();
-            vm.install(verified, mode).unwrap();
-            b.iter_batched(
-                || Ctxt::from_values(vec![1]),
-                |mut ctxt| vm.fire("hook", &mut ctxt),
-                BatchSize::SmallInput,
+    group.bench_function("fire", |b| {
+        let mut bld = rkd_core::prog::ProgramBuilder::new("bench");
+        let pid = bld.field_readonly("pid");
+        let act = bld.action(hot_action());
+        for i in 0..8 {
+            bld.table(
+                &format!("t{i}"),
+                "hook",
+                &[pid],
+                rkd_core::table::MatchKind::Exact,
+                Some(act),
+                8,
             );
-        });
-    }
+        }
+        let verified = verify(bld.build()).unwrap();
+        let mut vm = RmtMachine::new();
+        vm.install(verified, ExecMode::Jit).unwrap();
+        b.iter_batched(
+            || Ctxt::from_values(vec![1]),
+            |mut ctxt| vm.fire("hook", &mut ctxt),
+            BatchSize::SmallInput,
+        );
+    });
     group.finish();
 }
 
 fn bench_figure1(c: &mut Harness) {
     let mut group = c.benchmark_group("figure1_datapath");
-    for (name, mode) in [("interp", ExecMode::Interp), ("jit", ExecMode::Jit)] {
-        group.bench_function(name, |b| {
-            let compiled = rkd_lang::compile(rkd_lang::FIGURE1_PREFETCH).unwrap();
-            let verified = verify(compiled.program).unwrap();
-            let mut vm = RmtMachine::new();
-            vm.install(verified, mode).unwrap();
-            let mut page = 0i64;
-            b.iter(|| {
-                page += 3;
-                let mut ctxt = Ctxt::from_values(vec![1, page]);
-                vm.fire("lookup_swap_cache", &mut ctxt);
-                vm.fire("swap_cluster_readahead", &mut ctxt)
-            });
+    group.bench_function("fire", |b| {
+        let compiled = rkd_lang::compile(rkd_lang::FIGURE1_PREFETCH).unwrap();
+        let verified = verify(compiled.program).unwrap();
+        let mut vm = RmtMachine::new();
+        vm.install(verified, ExecMode::Jit).unwrap();
+        let mut page = 0i64;
+        b.iter(|| {
+            page += 3;
+            let mut ctxt = Ctxt::from_values(vec![1, page]);
+            vm.fire("lookup_swap_cache", &mut ctxt);
+            vm.fire("swap_cluster_readahead", &mut ctxt)
         });
-    }
+    });
     group.finish();
 }
 
@@ -202,7 +196,7 @@ fn constant_heavy_action() -> Action {
     Action::new("const_heavy", code)
 }
 
-/// An 8-table pipeline over the constant-heavy action, JIT-compiled at
+/// An 8-table pipeline over the constant-heavy action, installed at
 /// `level`.
 fn opt_machine(level: OptLevel) -> RmtMachine {
     let mut b = rkd_core::prog::ProgramBuilder::new("bench_opt");
@@ -225,12 +219,12 @@ fn opt_machine(level: OptLevel) -> RmtMachine {
     vm
 }
 
-/// O0 oracle vs optimized JIT on the constant-heavy pipeline, with the
+/// O0 oracle vs optimized bodies on the constant-heavy pipeline, with the
 /// ≥1.2× median-speedup acceptance gate.
 fn bench_opt(c: &mut Harness) -> Vec<(String, Json)> {
     let mut group = c.benchmark_group("vm_opt_pipeline");
     let mut medians = [None, None];
-    for (slot, (name, level)) in [("jit_o0", OptLevel::O0), ("jit_opt", OptLevel::O2)]
+    for (slot, (name, level)) in [("o0", OptLevel::O0), ("opt", OptLevel::O2)]
         .into_iter()
         .enumerate()
     {
@@ -361,7 +355,7 @@ fn bench_chain_fuse(c: &mut Harness) -> Vec<(String, Json)> {
     );
     let mut group = c.benchmark_group("vm_chain_fuse");
     let mut medians = [None, None];
-    for (slot, (name, level)) in [("jit_o0", OptLevel::O0), ("jit_fused", OptLevel::O2)]
+    for (slot, (name, level)) in [("o0", OptLevel::O0), ("fused", OptLevel::O2)]
         .into_iter()
         .enumerate()
     {
@@ -509,7 +503,7 @@ fn churn_bench_case(
     };
     let mut group = c.benchmark_group(group_name);
     let mut medians = [None, None];
-    for (slot, (name, level)) in [("jit_o0", OptLevel::O0), ("jit_fused", OptLevel::O2)]
+    for (slot, (name, level)) in [("o0", OptLevel::O0), ("fused", OptLevel::O2)]
         .into_iter()
         .enumerate()
     {
@@ -710,7 +704,7 @@ fn bench_loop_fold(c: &mut Harness) -> Vec<(String, Json)> {
     };
     let mut group = c.benchmark_group("vm_loop_fold");
     let mut medians = [None, None];
-    for (slot, (name, level)) in [("jit_o0", OptLevel::O0), ("jit_opt", OptLevel::O2)]
+    for (slot, (name, level)) in [("o0", OptLevel::O0), ("opt", OptLevel::O2)]
         .into_iter()
         .enumerate()
     {

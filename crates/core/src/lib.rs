@@ -15,8 +15,11 @@
 //!    [`verifier::verify`]), which checks well-formedness, bounded
 //!    execution, model cost budgets, interference guards, and privacy.
 //! 3. Install it ([`ctrl::syscall_rmt`] /
-//!    [`machine::RmtMachine::install`]) in interpreted ([`interp`]) or
-//!    JIT-compiled ([`jit`]) mode.
+//!    [`machine::RmtMachine::install`]): every action is optimized
+//!    ([`opt`]), re-verified, and — where tail-call chains resolve
+//!    statically — fused, all over bytecode. One interpreter
+//!    ([`interp`]) executes the result; [`opt::OptLevel`] is the only
+//!    selector of what runs (`machine::ExecMode` is an inert tag).
 //! 4. Kernel hooks fire ([`machine::RmtMachine::fire`]); actions match
 //!    context, consult models, and emit effects; the control plane
 //!    retunes entries and hot-swaps models as workloads drift.
@@ -60,7 +63,6 @@ pub mod dp;
 pub mod error;
 pub mod guard;
 pub mod interp;
-pub mod jit;
 pub mod journal;
 pub mod machine;
 pub mod maps;

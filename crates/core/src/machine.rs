@@ -4,19 +4,21 @@
 //! events through their table pipelines (Figure 1's runtime): a hook
 //! fires with a populated [`Ctxt`]; each table installed at that hook
 //! extracts its match key (`RMT_MATCH_CTXT`), looks up the best entry,
-//! and runs the bound action in interpreted or JIT mode; `TAIL_CALL`s
-//! cascade across tables (bounded); resource effects pass through the
+//! and runs the bound action — its verified, optimized, possibly
+//! chain-fused body — through the one interpreter
+//! ([`crate::interp::run_action`]); `TAIL_CALL`s cascade across tables
+//! (bounded); resource effects pass through the
 //! program's token-bucket rate limiter before reaching the kernel.
 //!
 //! A faulting or privacy-exhausted action is absorbed as a no-op — a
 //! learned optimization may fail closed, but it must never take the
 //! (simulated) kernel down with it.
 
+use crate::bytecode::Action;
 use crate::ctxt::{Ctxt, FieldId};
 use crate::dp::PrivacyLedger;
 use crate::error::VmError;
 use crate::interp::{run_action, ActionOutcome, Effect, ExecEnv};
-use crate::jit::CompiledAction;
 use crate::maps::{MapId, MapInstance, MapState};
 use crate::obs::span::{self, SpanCollector, SpanSnapshot, Stage, StageProfile};
 use crate::obs::{
@@ -24,7 +26,9 @@ use crate::obs::{
     ModelStats, ModelStatsSnapshot, ModelStatsState, Obs, ObsConfig, ObsSnapshot, ObsState,
     ProgHist, TraceEvent, TraceKind, TraceSnapshot,
 };
-use crate::opt::{fuse_chain, FusedStepPlan, OptLevel, OptStats};
+use crate::opt::{
+    fuse_chain, optimize_reverified, optimize_reverified_with, FusedStepPlan, OptLevel, OptStats,
+};
 use crate::prog::{ModelSpec, RmtProgram};
 use crate::table::{Entry, MatchKind, Table, TableId, TableStats};
 use crate::verifier::{verify_with, VerifiedProgram, VerifierConfig};
@@ -48,12 +52,21 @@ struct FireSpan {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProgId(pub u32);
 
-/// Execution mode for a program's actions.
+/// An inert compatibility tag. There is one execution engine —
+/// [`crate::interp::run_action`] over the bodies [`crate::opt`]
+/// produced — and [`OptLevel`] is the only selector of what executes;
+/// the machine stores this tag with the program and round-trips it
+/// through snapshot and journal JSON (so both on-disk formats keep
+/// their shape) but never reads it. It survives only because the
+/// frozen repo benchmark names it (`bench/src/sut.rs`, `Engine::mode`)
+/// on the signatures it calls: [`RmtMachine::install`],
+/// [`RmtMachine::install_seeded`], `CtrlRequest::Install { mode }` and
+/// `MlPolicy::new`. Removing it is that one-file follow-up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Interpret bytecode (`rmt_interp`).
+    /// Historical "interpreted" tag; no behavioural meaning.
     Interp,
-    /// Run pre-compiled threaded code (`rmt_jit`).
+    /// Historical "JIT" tag; no behavioural meaning.
     Jit,
 }
 
@@ -276,9 +289,9 @@ impl TokenBucket {
     }
 }
 
-/// A fused tail-call chain body installed for one action (JIT mode,
-/// `OptLevel >= O1`): the caller plus its statically resolved callees
-/// collapsed into one re-verified compiled body.
+/// A fused tail-call chain body installed for one action
+/// (`OptLevel >= O1`): the caller plus its statically resolved callees
+/// collapsed into one re-verified body.
 ///
 /// Validity is generation-stamped: resolution baked the table
 /// contents in, so any control-plane mutation that bumps the table
@@ -288,7 +301,7 @@ impl TokenBucket {
 /// cached chains and fused bodies can never disagree about table
 /// state within a generation.
 struct FusedAction {
-    compiled: CompiledAction,
+    compiled: Action,
     /// Re-verified worst case of the fused body — the runtime fuel.
     /// Install-time checked to fit the unfused chain's combined
     /// budget, so fusion never buys extra fuel.
@@ -326,12 +339,16 @@ struct Installed {
     /// firing.
     hook_tables: HashMap<String, Vec<usize>>,
     worst_case: Vec<u64>,
+    /// Stored for [`ProgramState::mode`] only; see [`ExecMode`].
     mode: ExecMode,
     tables: Vec<Table>,
     maps: Vec<MapInstance>,
-    compiled: Vec<CompiledAction>,
+    /// `compiled[i]` = what executes for action `i`: the re-verified
+    /// body [`crate::opt`] produced from `prog.actions[i]` at
+    /// `prog.opt_level` (at `O0`, the verified body as written).
+    compiled: Vec<Action>,
     /// `fused[i]` = fused chain body for action `i`, when its tail
-    /// call resolved statically (JIT mode only; see [`FusedAction`]).
+    /// call resolved statically (see [`FusedAction`]).
     fused: Vec<Option<FusedAction>>,
     /// Per-program optimizer statistics: pass pipeline totals from the
     /// last full compile plus the current fusion outcome.
@@ -451,6 +468,26 @@ struct CacheRun {
     diverged: bool,
 }
 
+/// Whose pipelines one firing walks (see [`RmtMachine::fire_in_slot`]).
+enum Listeners<'a> {
+    /// Every listener of the hook slot, each program instance and its
+    /// table pipeline resolved per firing.
+    Slot {
+        programs: &'a mut BTreeMap<u32, Installed>,
+        pipeline_scratch: &'a mut Vec<usize>,
+        hook: &'a str,
+    },
+    /// The hook's single listener, its program instance and table
+    /// pipeline already resolved — [`RmtMachine::fire_batch`]'s fast
+    /// path hoists the program B-tree walk and the hook→tables hash
+    /// probe out of its per-context loop.
+    Prepared {
+        inst: &'a mut Installed,
+        pid: u32,
+        pipeline: &'a [usize],
+    },
+}
+
 impl RmtMachine {
     /// Creates an empty machine at tick 0 with default observability.
     pub fn new() -> RmtMachine {
@@ -505,8 +542,9 @@ impl RmtMachine {
     }
 
     /// Installs a verified program (`syscall_rmt()` in Figure 1),
-    /// returning its id. JIT mode compiles every action up front
-    /// (`rmt_jit()`).
+    /// returning its id. Every action is optimized at the program's
+    /// [`OptLevel`] and re-verified up front; `mode` is an inert tag
+    /// (see [`ExecMode`]).
     pub fn install(&mut self, vp: VerifiedProgram, mode: ExecMode) -> Result<ProgId, VmError> {
         self.install_seeded(vp, mode, 0x5EED)
     }
@@ -528,30 +566,7 @@ impl RmtMachine {
         for def in &prog.maps {
             maps.push(MapInstance::new(def)?);
         }
-        let mut opt_stats = OptStats::default();
-        let compiled = match mode {
-            ExecMode::Jit => {
-                // Optimize (per the program's OptLevel knob), re-verify,
-                // then compile. `worst_case` stays the verifier's bound
-                // for the original bodies: it remains a sound fuel cap
-                // for the (never-larger) optimized bodies and keeps O0
-                // and interp fuel accounting identical.
-                let mut out = Vec::with_capacity(prog.actions.len());
-                for (i, action) in prog.actions.iter().enumerate() {
-                    let (c, _wc, report) = CompiledAction::compile_optimized_report(
-                        i as u16,
-                        action,
-                        &prog,
-                        prog.opt_level,
-                        worst_case[i],
-                    )?;
-                    opt_stats.record(action.code.len(), &report);
-                    out.push(c);
-                }
-                out
-            }
-            ExecMode::Interp => Vec::new(),
-        };
+        let (compiled, opt_stats) = Self::optimize_actions(&prog, prog.opt_level, &worst_case)?;
         self.obs.counters.opt_fixpoint_cap_hits += opt_stats.fixpoint_cap_hits;
         let mut ctxt_writes: Vec<FieldId> = Vec::new();
         for action in &prog.actions {
@@ -640,12 +655,31 @@ impl RmtMachine {
         Ok(ProgId(id))
     }
 
-    /// Changes an installed program's optimization level and, in JIT
-    /// mode, recompiles every action through the optimize → re-verify
-    /// → compile path (a re-verification failure aborts the switch and
-    /// leaves the previous compiled bodies installed). In interpreter
-    /// mode only the knob is recorded: the interpreter always executes
-    /// the verified bytecode.
+    /// Optimizes and re-verifies every action of `prog` at `level`:
+    /// the bodies the machine executes plus their pipeline statistics.
+    /// `worst_case` stays the verifier's bound for the bodies as
+    /// written: it remains a sound fuel cap for the (never-larger)
+    /// optimized bodies and keeps fuel accounting identical across
+    /// levels.
+    fn optimize_actions(
+        prog: &RmtProgram,
+        level: OptLevel,
+        worst_case: &[u64],
+    ) -> Result<(Vec<Action>, OptStats), VmError> {
+        let mut bodies = Vec::with_capacity(prog.actions.len());
+        let mut opt_stats = OptStats::default();
+        for (i, action) in prog.actions.iter().enumerate() {
+            let (report, _wc) = optimize_reverified(i as u16, action, prog, level, worst_case[i])?;
+            opt_stats.record(action.code.len(), &report);
+            bodies.push(report.action);
+        }
+        Ok((bodies, opt_stats))
+    }
+
+    /// Changes an installed program's optimization level, rebuilding
+    /// every action through the optimize → re-verify path (a
+    /// re-verification failure aborts the switch and leaves the
+    /// previous level, bodies and statistics installed).
     ///
     /// The switch is epoch-published like any other table mutation:
     /// the table generation is bumped, which simultaneously invalidates
@@ -659,25 +693,11 @@ impl RmtMachine {
             .programs
             .get_mut(&id.0)
             .ok_or(VmError::NoSuchProgram(id.0))?;
+        let (compiled, opt_stats) = Self::optimize_actions(&inst.prog, level, &inst.worst_case)?;
         inst.prog.opt_level = level;
-        if inst.mode == ExecMode::Jit {
-            let mut out = Vec::with_capacity(inst.prog.actions.len());
-            let mut opt_stats = OptStats::default();
-            for (i, action) in inst.prog.actions.iter().enumerate() {
-                let (c, _wc, report) = CompiledAction::compile_optimized_report(
-                    i as u16,
-                    action,
-                    &inst.prog,
-                    level,
-                    inst.worst_case[i],
-                )?;
-                opt_stats.record(action.code.len(), &report);
-                out.push(c);
-            }
-            inst.compiled = out;
-            inst.opt_stats = opt_stats;
-            self.obs.counters.opt_fixpoint_cap_hits += opt_stats.fixpoint_cap_hits;
-        }
+        inst.compiled = compiled;
+        inst.opt_stats = opt_stats;
+        self.obs.counters.opt_fixpoint_cap_hits += opt_stats.fixpoint_cap_hits;
         self.table_gen += 1;
         self.refresh_fused(Some(id.0), None);
         Ok(())
@@ -769,12 +789,11 @@ impl RmtMachine {
                 }
                 continue;
             }
-            if !partial || inst.mode != ExecMode::Jit || inst.prog.opt_level == OptLevel::O0 {
+            if !partial {
                 inst.fused = Self::fuse_actions(
                     &inst.prog,
                     &inst.tables,
                     &inst.worst_case,
-                    inst.mode,
                     generation,
                     &mut inst.opt_stats,
                 );
@@ -790,7 +809,7 @@ impl RmtMachine {
                     }
                     // The mutation hit a routed-through table: try the
                     // cheap dispatch-identity revalidation before
-                    // paying a full re-plan + re-verify + re-compile.
+                    // paying a full re-plan + re-verify.
                     Some(f) => !Self::revalidate_fused_plan(f, &inst.tables, t, generation),
                     None => true,
                 };
@@ -815,24 +834,19 @@ impl RmtMachine {
         prog: &RmtProgram,
         tables: &[Table],
         worst_case: &[u64],
-        mode: ExecMode,
         generation: u64,
         opt_stats: &mut OptStats,
     ) -> Vec<Option<FusedAction>> {
-        let fused: Vec<Option<FusedAction>> =
-            if mode != ExecMode::Jit || prog.opt_level == OptLevel::O0 {
-                (0..prog.actions.len()).map(|_| None).collect()
-            } else {
-                (0..prog.actions.len())
-                    .map(|i| Self::fuse_one(prog, tables, worst_case, i, generation))
-                    .collect()
-            };
+        // At `O0` every plan is `None`: `fuse_chain` refuses to fuse.
+        let fused: Vec<Option<FusedAction>> = (0..prog.actions.len())
+            .map(|i| Self::fuse_one(prog, tables, worst_case, i, generation))
+            .collect();
         Self::recount_fusion_stats(&fused, opt_stats);
         fused
     }
 
-    /// Plans, re-verifies, and compiles the fused chain body for one
-    /// action (see [`RmtMachine::fuse_actions`] for the contract).
+    /// Plans and re-verifies the fused chain body for one action (see
+    /// [`RmtMachine::fuse_actions`] for the contract).
     fn fuse_one(
         prog: &RmtProgram,
         tables: &[Table],
@@ -849,17 +863,20 @@ impl RmtMachine {
                     fuel_cap.saturating_add(worst_case.get(a as usize).copied().unwrap_or(0));
             }
         }
-        let wc = crate::verifier::reverify_action(i as u16, &plan.action, prog).ok()?;
+        // `fuse_chain` already optimized the spliced body; the empty
+        // pass list sends it through the re-verification gate as is.
+        let (report, wc) =
+            optimize_reverified_with(i as u16, &plan.action, prog, &[], u64::MAX).ok()?;
         if wc > fuel_cap {
             return None;
         }
-        let compiled = CompiledAction::compile(&plan.action).ok()?;
+        let compiled = report.action;
         let mut deps = 0u64;
         for st in &plan.steps {
             deps |= Self::dep_bit(st.table as usize);
         }
         let mut trailing = 0u64;
-        for insn in &plan.action.code {
+        for insn in &compiled.code {
             if let crate::bytecode::Insn::TailCall { table } = insn {
                 trailing |= Self::dep_bit(table.0 as usize);
             }
@@ -890,7 +907,7 @@ impl RmtMachine {
     /// every collapsed link that routed through the touched table
     /// using the constant key the plan stored at fusion time. When
     /// each such link still dispatches the same `(action, arg)`, the
-    /// compiled body is byte-for-byte still exact — only the recorded
+    /// fused body is byte-for-byte still exact — only the recorded
     /// entry index (the hit/miss bookkeeping the dispatch path
     /// synthesizes) may have moved — so the plan updates those indices
     /// and restamps instead of paying a full re-fuse. Returns `false`
@@ -1047,17 +1064,19 @@ impl RmtMachine {
             return HookResult::default();
         };
         let result = Self::fire_in_slot(
-            &mut self.programs,
+            Listeners::Slot {
+                programs: &mut self.programs,
+                pipeline_scratch: &mut self.pipeline_scratch,
+                hook,
+            },
             &mut self.obs,
             &mut self.scratch_queue,
             &mut self.key_scratch,
-            &mut self.pipeline_scratch,
             self.tick,
             self.table_gen,
             self.decision_cache_cap,
             sample_mask,
             slot,
-            hook,
             ctxt,
         );
         if self.obs.flight.due(self.obs.counters.fires) {
@@ -1108,10 +1127,12 @@ impl RmtMachine {
             self.pipeline_scratch
                 .extend_from_slice(&inst.hook_tables[hook]);
             for ctxt in ctxts.iter_mut() {
-                results.push(Self::fire_one_prepared(
-                    inst,
-                    pid,
-                    &self.pipeline_scratch,
+                results.push(Self::fire_in_slot(
+                    Listeners::Prepared {
+                        inst: &mut *inst,
+                        pid,
+                        pipeline: &self.pipeline_scratch,
+                    },
                     &mut self.obs,
                     &mut self.scratch_queue,
                     &mut self.key_scratch,
@@ -1126,17 +1147,19 @@ impl RmtMachine {
         } else {
             for ctxt in ctxts.iter_mut() {
                 results.push(Self::fire_in_slot(
-                    &mut self.programs,
+                    Listeners::Slot {
+                        programs: &mut self.programs,
+                        pipeline_scratch: &mut self.pipeline_scratch,
+                        hook,
+                    },
                     &mut self.obs,
                     &mut self.scratch_queue,
                     &mut self.key_scratch,
-                    &mut self.pipeline_scratch,
                     self.tick,
                     self.table_gen,
                     self.decision_cache_cap,
                     sample_mask,
                     slot,
-                    hook,
                     ctxt,
                 ));
             }
@@ -1188,25 +1211,28 @@ impl RmtMachine {
         }
     }
 
-    /// The pipeline walk for one firing of an armed hook. Takes the
-    /// machine's fields as disjoint borrows (the hook slot is a live
-    /// `&mut` into `hook_index`, so `&mut self` is unavailable) —
-    /// which is what lets [`RmtMachine::fire_batch`] hold the slot
-    /// across a whole batch. Flight-recorder capture stays with the
-    /// callers: it needs the whole machine.
+    /// One firing of an armed hook: the frame every firing shares —
+    /// latency-sampling decision, `Fire` span, decision-cache probe and
+    /// publish (each under its own span), whole-fire histogram — around
+    /// the listener walk `listeners` selects. Owning the frame once is
+    /// what keeps a span or counter added to the scalar path from being
+    /// forgotten on the batch fast path. Takes the machine's fields as
+    /// disjoint borrows (the hook slot is a live `&mut` into
+    /// `hook_index`, so `&mut self` is unavailable) — which is what
+    /// lets [`RmtMachine::fire_batch`] hold the slot across a whole
+    /// batch. Flight-recorder capture stays with the callers: it needs
+    /// the whole machine.
     #[allow(clippy::too_many_arguments)]
     fn fire_in_slot(
-        programs: &mut BTreeMap<u32, Installed>,
+        listeners: Listeners<'_>,
         obs: &mut Obs,
         scratch_queue: &mut Vec<usize>,
         key_scratch: &mut Vec<u64>,
-        pipeline_scratch: &mut Vec<usize>,
         tick: u64,
         table_gen: u64,
         decision_cache_cap: usize,
         sample_mask: u64,
         slot: &mut HookSlot,
-        hook: &str,
         ctxt: &mut Ctxt,
     ) -> HookResult {
         let mut result = HookResult::default();
@@ -1226,25 +1252,14 @@ impl RmtMachine {
             obs.spans
                 .record(fs.trace_id, id, fs.span_id, Stage::CacheProbe, p0, end);
         }
-        for li in 0..slot.listeners.len() {
-            let (pid, _first_table) = slot.listeners[li];
-            let Some(inst) = programs.get_mut(&pid) else {
-                continue;
-            };
-            inst.stats.invocations += 1;
-            // Pipeline: all of this program's tables registered at this
-            // hook, in declaration order; a tail call redirects and then
-            // ends the pipeline.
-            let Some(hook_tables) = inst.hook_tables.get(hook) else {
-                continue;
-            };
-            pipeline_scratch.clear();
-            pipeline_scratch.extend_from_slice(hook_tables);
+        let span_ids = fire_span.map(|f| (f.trace_id, f.span_id));
+        let key_stable = slot.key_stable;
+        let mut walk = |inst: &mut Installed, pid: u32, pipeline: &[usize]| {
             Self::run_pipeline(
                 inst,
                 pid,
-                pipeline_scratch,
-                slot.key_stable,
+                pipeline,
+                key_stable,
                 &mut cache,
                 obs,
                 scratch_queue,
@@ -1252,92 +1267,42 @@ impl RmtMachine {
                 table_gen,
                 timed,
                 &mut prev,
-                fire_span.map(|f| (f.trace_id, f.span_id)),
+                span_ids,
                 ctxt,
                 &mut result,
-            );
-        }
-        let finish_t0 = fire_span.map(|_| obs.spans.now_ns());
-        Self::cache_finish(slot, obs, key_scratch, table_gen, decision_cache_cap, cache);
-        if let Some(fs) = fire_span {
-            let end = obs.spans.now_ns();
-            if let Some(f0) = finish_t0 {
-                let id = obs.spans.alloc_id();
-                obs.spans
-                    .record(fs.trace_id, id, fs.span_id, Stage::CacheFinish, f0, end);
+            )
+        };
+        match listeners {
+            Listeners::Slot {
+                programs,
+                pipeline_scratch,
+                hook,
+            } => {
+                for &(pid, _first_table) in &slot.listeners {
+                    let Some(inst) = programs.get_mut(&pid) else {
+                        continue;
+                    };
+                    inst.stats.invocations += 1;
+                    // Pipeline: all of this program's tables registered
+                    // at this hook, in declaration order; a tail call
+                    // redirects and then ends the pipeline.
+                    let Some(hook_tables) = inst.hook_tables.get(hook) else {
+                        continue;
+                    };
+                    pipeline_scratch.clear();
+                    pipeline_scratch.extend_from_slice(hook_tables);
+                    walk(inst, pid, pipeline_scratch);
+                }
             }
-            obs.spans.record(
-                fs.trace_id,
-                fs.span_id,
-                fs.parent_id,
-                Stage::Fire,
-                fs.start_ns,
-                end,
-            );
+            Listeners::Prepared {
+                inst,
+                pid,
+                pipeline,
+            } => {
+                inst.stats.invocations += 1;
+                walk(inst, pid, pipeline);
+            }
         }
-        if let (Some(start), Some(end)) = (t0, prev) {
-            slot.hist
-                .record(end.duration_since(start).as_nanos() as u64);
-        }
-        result
-    }
-
-    /// One firing with the listener's program instance and table
-    /// pipeline already resolved — the single-listener fast path of
-    /// [`RmtMachine::fire_batch`], which hoists the program B-tree
-    /// walk and the hook→tables hash probe out of the per-context
-    /// loop. Per-firing semantics are identical to
-    /// [`RmtMachine::fire_in_slot`] with one listener: both call the
-    /// same [`RmtMachine::cache_probe`] / [`RmtMachine::run_pipeline`]
-    /// / [`RmtMachine::cache_finish`] sequence.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_one_prepared(
-        inst: &mut Installed,
-        pid: u32,
-        pipeline: &[usize],
-        obs: &mut Obs,
-        scratch_queue: &mut Vec<usize>,
-        key_scratch: &mut Vec<u64>,
-        tick: u64,
-        table_gen: u64,
-        decision_cache_cap: usize,
-        sample_mask: u64,
-        slot: &mut HookSlot,
-        ctxt: &mut Ctxt,
-    ) -> HookResult {
-        let mut result = HookResult::default();
-        slot.fires += 1;
-        obs.counters.fires += 1;
-        let timed = obs.cfg.timing && (slot.fires - 1) & sample_mask == 0;
-        let t0 = timed.then(Instant::now);
-        let mut prev = t0;
-        let fire_span = Self::span_begin_fire(obs, &slot.consumed, ctxt, key_scratch);
-        let probe_t0 = fire_span.map(|_| obs.spans.now_ns());
-        let mut cache =
-            Self::cache_probe(slot, obs, key_scratch, table_gen, decision_cache_cap, ctxt);
-        if let (Some(fs), Some(p0)) = (fire_span, probe_t0) {
-            let end = obs.spans.now_ns();
-            let id = obs.spans.alloc_id();
-            obs.spans
-                .record(fs.trace_id, id, fs.span_id, Stage::CacheProbe, p0, end);
-        }
-        inst.stats.invocations += 1;
-        Self::run_pipeline(
-            inst,
-            pid,
-            pipeline,
-            slot.key_stable,
-            &mut cache,
-            obs,
-            scratch_queue,
-            tick,
-            table_gen,
-            timed,
-            &mut prev,
-            fire_span.map(|f| (f.trace_id, f.span_id)),
-            ctxt,
-            &mut result,
-        );
         let finish_t0 = fire_span.map(|_| obs.spans.now_ns());
         Self::cache_finish(slot, obs, key_scratch, table_gen, decision_cache_cap, cache);
         if let Some(fs) = fire_span {
@@ -1590,24 +1555,21 @@ impl RmtMachine {
             // (unresolved) redirect would otherwise execute links the
             // unfused chain's per-redirect `MAX_TAIL_CHAIN` check
             // refuses.
-            let use_fused = inst.mode == ExecMode::Jit
-                && inst
-                    .fused
-                    .get(action_id.0 as usize)
-                    .and_then(|f| f.as_ref())
-                    .is_some_and(|f| {
-                        f.generation == table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN
-                    });
-            let fuel = if use_fused {
-                inst.fused[action_id.0 as usize]
-                    .as_ref()
-                    .expect("checked above")
-                    .worst_case
-            } else {
-                inst.worst_case
-                    .get(action_id.0 as usize)
-                    .copied()
-                    .unwrap_or(1)
+            let fused = inst
+                .fused
+                .get(action_id.0 as usize)
+                .and_then(|f| f.as_ref())
+                .filter(|f| f.generation == table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN);
+            let use_fused = fused.is_some();
+            let (body, fuel) = match fused {
+                Some(f) => (&f.compiled, f.worst_case),
+                None => (
+                    &inst.compiled[action_id.0 as usize],
+                    inst.worst_case
+                        .get(action_id.0 as usize)
+                        .copied()
+                        .unwrap_or(1),
+                ),
             };
             let outcome = {
                 let mut env = ExecEnv {
@@ -1622,20 +1584,7 @@ impl RmtMachine {
                     ml_stats: &mut inst.model_stats,
                     time_ml: timed,
                 };
-                match inst.mode {
-                    ExecMode::Interp => run_action(
-                        &inst.prog.actions[action_id.0 as usize],
-                        fuel,
-                        arg,
-                        &mut env,
-                    ),
-                    ExecMode::Jit if use_fused => inst.fused[action_id.0 as usize]
-                        .as_ref()
-                        .expect("checked above")
-                        .compiled
-                        .run(fuel, arg, &mut env),
-                    ExecMode::Jit => inst.compiled[action_id.0 as usize].run(fuel, arg, &mut env),
-                }
+                run_action(body, fuel, arg, &mut env)
             };
             match outcome {
                 Ok(ActionOutcome {
@@ -2227,14 +2176,6 @@ impl RmtMachine {
         self.programs.keys().map(|&k| ProgId(k)).collect()
     }
 
-    /// Execution mode of a program.
-    pub fn mode(&self, prog: ProgId) -> Result<ExecMode, VmError> {
-        self.programs
-            .get(&prog.0)
-            .map(|i| i.mode)
-            .ok_or(VmError::NoSuchProgram(prog.0))
-    }
-
     /// Current observability configuration.
     pub fn obs_config(&self) -> ObsConfig {
         self.obs.cfg
@@ -2405,21 +2346,13 @@ impl RmtMachine {
         self.obs.flight.snapshot()
     }
 
-    /// Serves exactly one metrics scrape from `listener` and returns
-    /// the request path served: `GET /metrics` answers Prometheus text
-    /// exposition, `GET /metrics.json` the JSON rendering of the same
-    /// [`ObsSnapshot`] (see [`crate::obs::export`]). Blocking by
-    /// design — the embedding decides when to donate a thread; the
-    /// machine itself never spawns one.
-    pub fn serve_metrics_once(&self, listener: &std::net::TcpListener) -> std::io::Result<String> {
-        crate::obs::export::serve_once(listener, &self.obs_snapshot())
-    }
-
-    /// Serves metrics scrapes and read-only `/ctrl/*` queries from
-    /// `listener` until `stop` flips — the persistent sibling of
-    /// [`RmtMachine::serve_metrics_once`] for operating a long-running
-    /// machine (see [`crate::obs::export::serve_until`]). Returns the
-    /// number of connections answered.
+    /// Serves metrics scrapes (`GET /metrics` Prometheus text,
+    /// `GET /metrics.json` the JSON rendering of the same
+    /// [`ObsSnapshot`]) and read-only `/ctrl/*` queries from `listener`
+    /// until `stop` flips (see [`crate::obs::export::serve_until`]).
+    /// Blocking by design — the embedding decides when to donate a
+    /// thread; the machine itself never spawns one. Returns the number
+    /// of connections answered.
     pub fn serve_metrics_until(
         &mut self,
         listener: &std::net::TcpListener,
@@ -2475,8 +2408,9 @@ pub struct ProgramState {
     /// verifier over this — a snapshot is control-plane input, not
     /// trusted state.
     pub prog: RmtProgram,
-    /// Execution mode (JIT bodies are recompiled on restore, never
-    /// serialized).
+    /// The install's inert [`ExecMode`] tag, carried so the snapshot
+    /// format keeps its shape. Executable bodies are never serialized:
+    /// restore re-optimizes them from the re-verified program.
     pub mode: ExecMode,
     /// Per-table runtime entries and stats, in table declaration order.
     pub tables: Vec<TableState>,
@@ -2601,8 +2535,8 @@ impl RmtMachine {
     /// trusted base; a program that no longer verifies rejects the
     /// whole snapshot. Runtime state (table entries, map contents, RNG
     /// position, ledgers, rate-limiter fill, telemetry) is overlaid
-    /// after installation, and in JIT mode actions are recompiled from
-    /// the verified program rather than deserialized.
+    /// after installation, and the executable bodies are re-optimized
+    /// from the verified program rather than deserialized.
     pub fn restore(snap: MachineSnapshot, vcfg: &VerifierConfig) -> Result<RmtMachine, VmError> {
         let mut m = RmtMachine::new();
         let mut last_id = 0u32;
@@ -2785,21 +2719,18 @@ mod tests {
 
     #[test]
     fn install_fire_and_verdicts() {
-        for mode in [ExecMode::Interp, ExecMode::Jit] {
-            let mut m = RmtMachine::new();
-            let id = m.install(doubling_program(), mode).unwrap();
-            assert_eq!(m.mode(id).unwrap(), mode);
-            let mut ctxt = ctxt_with_pid(7);
-            let r = m.fire("test_hook", &mut ctxt);
-            assert_eq!(r.verdict(), Some(42));
-            let mut miss = ctxt_with_pid(8);
-            let r = m.fire("test_hook", &mut miss);
-            assert_eq!(r.verdict(), Some(-1), "default action on miss");
-            let stats = m.stats(id).unwrap();
-            assert_eq!(stats.invocations, 2);
-            assert_eq!(stats.actions_run, 2);
-            assert!(stats.insns_executed >= 5);
-        }
+        let mut m = RmtMachine::new();
+        let id = m.install(doubling_program(), ExecMode::Jit).unwrap();
+        let mut ctxt = ctxt_with_pid(7);
+        let r = m.fire("test_hook", &mut ctxt);
+        assert_eq!(r.verdict(), Some(42));
+        let mut miss = ctxt_with_pid(8);
+        let r = m.fire("test_hook", &mut miss);
+        assert_eq!(r.verdict(), Some(-1), "default action on miss");
+        let stats = m.stats(id).unwrap();
+        assert_eq!(stats.invocations, 2);
+        assert_eq!(stats.actions_run, 2);
+        assert!(stats.insns_executed >= 5);
     }
 
     #[test]
@@ -2949,10 +2880,11 @@ mod tests {
     /// which stores constant 3 into scratch field `k` and tail-calls
     /// `t1`; `t1` (keyed on `k`) holds an entry for key 3 whose action
     /// `a1` tail-calls `t2`; `t2` is empty and defaults to `a2`
-    /// (verdict = arg + 40). Every link resolves statically, so at the
-    /// default O2 the whole chain fuses under JIT.
-    fn chain_program() -> VerifiedProgram {
+    /// (verdict = arg + 40). Every link resolves statically, so at O1
+    /// and above the whole chain fuses; O0 is the unfused reference.
+    fn chain_program(level: OptLevel) -> VerifiedProgram {
         let mut b = ProgramBuilder::new("chain");
+        b.opt_level(level);
         let pid = b.field_readonly("pid");
         let k = b.field_scratch("k");
         let a0 = b.action(Action::new(
@@ -3023,70 +2955,78 @@ mod tests {
     /// vacuous comparison).
     #[test]
     fn fused_chain_matches_unfused_execution() {
-        let mut jit = RmtMachine::new();
-        let jid = jit.install(chain_program(), ExecMode::Jit).unwrap();
-        let os = jit.opt_stats(jid).unwrap();
+        let mut fused = RmtMachine::new();
+        let fid = fused
+            .install(chain_program(OptLevel::O2), ExecMode::Jit)
+            .unwrap();
+        let os = fused.opt_stats(fid).unwrap();
         // `root` fuses both links; `mid` independently fuses its one.
         assert_eq!(os.fused_chains, 2, "{os:?}");
         assert_eq!(os.fused_links, 3, "{os:?}");
-        let mut interp = RmtMachine::new();
-        let iid = interp.install(chain_program(), ExecMode::Interp).unwrap();
+        let mut unfused = RmtMachine::new();
+        let uid = unfused
+            .install(chain_program(OptLevel::O0), ExecMode::Jit)
+            .unwrap();
         for pid in 0..4 {
-            let rj = jit.fire("h", &mut chain_ctxt(pid));
-            let ri = interp.fire("h", &mut chain_ctxt(pid));
-            assert_eq!(rj.verdicts, ri.verdicts);
-            assert_eq!(rj.effects, ri.effects);
+            let rf = fused.fire("h", &mut chain_ctxt(pid));
+            let ru = unfused.fire("h", &mut chain_ctxt(pid));
+            assert_eq!(rf.verdicts, ru.verdicts);
+            assert_eq!(rf.effects, ru.effects);
         }
-        let pinned = jit.fire("h", &mut chain_ctxt(9)).verdicts;
+        let pinned = fused.fire("h", &mut chain_ctxt(9)).verdicts;
         assert_eq!(
             pinned,
             vec![(TableId(0), 10), (TableId(1), 20), (TableId(2), 40)]
         );
-        assert_eq!(interp.fire("h", &mut chain_ctxt(9)).verdicts, pinned);
-        let (sj, si) = (jit.stats(jid).unwrap(), interp.stats(iid).unwrap());
-        assert_eq!(sj.actions_run, si.actions_run);
-        assert_eq!(sj.tail_calls, si.tail_calls);
-        assert_eq!(sj.guard_trips, si.guard_trips);
+        assert_eq!(unfused.fire("h", &mut chain_ctxt(9)).verdicts, pinned);
+        let (sf, su) = (fused.stats(fid).unwrap(), unfused.stats(uid).unwrap());
+        assert_eq!(sf.actions_run, su.actions_run);
+        assert_eq!(sf.tail_calls, su.tail_calls);
+        assert_eq!(sf.guard_trips, su.guard_trips);
         for t in 0..3 {
             assert_eq!(
-                jit.table_stats(jid, TableId(t)).unwrap(),
-                interp.table_stats(iid, TableId(t)).unwrap(),
+                fused.table_stats(fid, TableId(t)).unwrap(),
+                unfused.table_stats(uid, TableId(t)).unwrap(),
                 "table {t} hit/miss bookkeeping must survive fusion"
             );
         }
         // The fused body runs fewer instructions — that is the win.
         assert!(
-            sj.insns_executed < si.insns_executed,
+            sf.insns_executed < su.insns_executed,
             "fused {} !< unfused {}",
-            sj.insns_executed,
-            si.insns_executed
+            sf.insns_executed,
+            su.insns_executed
         );
     }
 
     /// Control-plane churn on a table a fused chain resolved through
     /// must re-specialize the plan (eagerly — the generation check is
     /// only a backstop), and verdicts must track the live entries
-    /// exactly as the unfused interpreter's do.
+    /// exactly as the unfused O0 install's do.
     #[test]
     fn entry_churn_respecializes_fused_chains() {
-        let mut jit = RmtMachine::new();
-        let jid = jit.install(chain_program(), ExecMode::Jit).unwrap();
-        let mut interp = RmtMachine::new();
-        let iid = interp.install(chain_program(), ExecMode::Interp).unwrap();
+        let mut fused = RmtMachine::new();
+        let fid = fused
+            .install(chain_program(OptLevel::O2), ExecMode::Jit)
+            .unwrap();
+        let mut unfused = RmtMachine::new();
+        let uid = unfused
+            .install(chain_program(OptLevel::O0), ExecMode::Jit)
+            .unwrap();
         let key = MatchKey::Exact(vec![3]);
-        let fire_both = |jit: &mut RmtMachine, interp: &mut RmtMachine| {
-            let rj = jit.fire("h", &mut chain_ctxt(1));
-            let ri = interp.fire("h", &mut chain_ctxt(1));
-            assert_eq!(rj.verdicts, ri.verdicts);
-            rj.verdicts
+        let fire_both = |fused: &mut RmtMachine, unfused: &mut RmtMachine| {
+            let rf = fused.fire("h", &mut chain_ctxt(1));
+            let ru = unfused.fire("h", &mut chain_ctxt(1));
+            assert_eq!(rf.verdicts, ru.verdicts);
+            rf.verdicts
         };
-        assert_eq!(fire_both(&mut jit, &mut interp).len(), 3);
+        assert_eq!(fire_both(&mut fused, &mut unfused).len(), 3);
         // Remove the mid link's entry: t1 goes empty with no default,
         // so the chain now ends there.
-        assert!(jit.remove_entry(jid, TableId(1), &key).unwrap());
-        assert!(interp.remove_entry(iid, TableId(1), &key).unwrap());
+        assert!(fused.remove_entry(fid, TableId(1), &key).unwrap());
+        assert!(unfused.remove_entry(uid, TableId(1), &key).unwrap());
         assert_eq!(
-            fire_both(&mut jit, &mut interp),
+            fire_both(&mut fused, &mut unfused),
             vec![(TableId(0), 10)],
             "chain must end at the miss with no default"
         );
@@ -3097,15 +3037,33 @@ mod tests {
             action: ActionId(2),
             arg: 100,
         };
-        jit.insert_entry(jid, TableId(1), e.clone()).unwrap();
-        interp.insert_entry(iid, TableId(1), e).unwrap();
+        fused.insert_entry(fid, TableId(1), e.clone()).unwrap();
+        unfused.insert_entry(uid, TableId(1), e).unwrap();
         assert_eq!(
-            fire_both(&mut jit, &mut interp),
+            fire_both(&mut fused, &mut unfused),
             vec![(TableId(0), 10), (TableId(1), 140)],
             "re-specialization must bake the new entry (arg 100)"
         );
         // Still fused after all the churn, not silently degraded.
-        assert!(jit.opt_stats(jid).unwrap().fused_chains >= 1);
+        assert!(fused.opt_stats(fid).unwrap().fused_chains >= 1);
+    }
+
+    /// [`ExecMode`] is an inert tag: the same program under either tag
+    /// is optimized, fused and executed identically.
+    #[test]
+    fn exec_mode_tag_does_not_select_what_executes() {
+        let run = |mode: ExecMode| {
+            let mut m = RmtMachine::new();
+            let id = m.install(chain_program(OptLevel::O2), mode).unwrap();
+            let verdicts: Vec<_> = (0..4)
+                .map(|pid| m.fire("h", &mut chain_ctxt(pid)).verdicts)
+                .collect();
+            let insns = m.stats(id).unwrap().insns_executed;
+            (verdicts, insns, m.opt_stats(id).unwrap())
+        };
+        let (interp, jit) = (run(ExecMode::Interp), run(ExecMode::Jit));
+        assert_eq!(interp, jit);
+        assert!(interp.2.fused_chains >= 1, "{:?}", interp.2);
     }
 
     /// The sharded `SetOptLevel` bugfix at machine level: switching
@@ -3115,7 +3073,9 @@ mod tests {
     fn set_opt_level_recomputes_fusion_and_bumps_generation() {
         use crate::opt::OptLevel;
         let mut m = RmtMachine::new();
-        let id = m.install(chain_program(), ExecMode::Jit).unwrap();
+        let id = m
+            .install(chain_program(OptLevel::O2), ExecMode::Jit)
+            .unwrap();
         assert_eq!(m.opt_stats(id).unwrap().fused_chains, 2);
         let baseline = m.fire("h", &mut chain_ctxt(1)).verdicts;
         m.set_opt_level(id, OptLevel::O0).unwrap();
@@ -3136,7 +3096,9 @@ mod tests {
     #[test]
     fn restore_respecializes_fused_chains_against_restored_entries() {
         let mut m = RmtMachine::new();
-        let id = m.install(chain_program(), ExecMode::Jit).unwrap();
+        let id = m
+            .install(chain_program(OptLevel::O2), ExecMode::Jit)
+            .unwrap();
         // Diverge runtime entries from the seed: key 3 now routes to
         // the leaf with arg 7.
         let key = MatchKey::Exact(vec![3]);
@@ -3234,7 +3196,7 @@ mod tests {
     /// Builds a one-model program (tree: x<4 -> class 0, else 1)
     /// whose single table default-action runs `CallMl` on ctxt field
     /// "x", and installs it.
-    fn ml_machine(mode: ExecMode) -> (RmtMachine, ProgId, crate::bytecode::ModelSlot) {
+    fn ml_machine() -> (RmtMachine, ProgId, crate::bytecode::ModelSlot) {
         use rkd_ml::cost::LatencyClass;
         use rkd_ml::dataset::{Dataset, Sample};
         use rkd_ml::tree::{DecisionTree, TreeConfig};
@@ -3267,29 +3229,27 @@ mod tests {
         b.table("t", "h", &[f], MatchKind::Exact, Some(act), 4);
         let vp = verify(b.build()).unwrap();
         let mut m = RmtMachine::new();
-        let id = m.install(vp, mode).unwrap();
+        let id = m.install(vp, ExecMode::Jit).unwrap();
         (m, id, slot)
     }
 
     #[test]
     fn model_telemetry_counts_served_predictions() {
-        for mode in [ExecMode::Interp, ExecMode::Jit] {
-            let (mut m, id, slot) = ml_machine(mode);
-            for x in [0i64, 1, 9, 9, 9] {
-                let mut ctxt = Ctxt::from_values(vec![x]);
-                m.fire("h", &mut ctxt);
-            }
-            let ms = m.model_stats(id, slot).unwrap();
-            assert_eq!(ms.served, 5, "{mode:?}");
-            assert_eq!(ms.class_counts[0], 2, "{mode:?}");
-            assert_eq!(ms.class_counts[1], 3, "{mode:?}");
-            assert_eq!(ms.name, "clf");
-            assert_eq!(ms.outcomes, 0, "no ground truth reported yet");
-            assert_eq!(ms.acc_permille, -1);
-            // Default config times 1-in-8 fires: exactly the first fire
-            // of this cold hook is sampled.
-            assert_eq!(ms.latency.count(), 1, "{mode:?}");
+        let (mut m, id, slot) = ml_machine();
+        for x in [0i64, 1, 9, 9, 9] {
+            let mut ctxt = Ctxt::from_values(vec![x]);
+            m.fire("h", &mut ctxt);
         }
+        let ms = m.model_stats(id, slot).unwrap();
+        assert_eq!(ms.served, 5);
+        assert_eq!(ms.class_counts[0], 2);
+        assert_eq!(ms.class_counts[1], 3);
+        assert_eq!(ms.name, "clf");
+        assert_eq!(ms.outcomes, 0, "no ground truth reported yet");
+        assert_eq!(ms.acc_permille, -1);
+        // Default config times 1-in-8 fires: exactly the first fire
+        // of this cold hook is sampled.
+        assert_eq!(ms.latency.count(), 1);
     }
 
     #[test]
@@ -3369,7 +3329,7 @@ mod tests {
 
     #[test]
     fn model_outcomes_drive_drift_latch_and_swap_clears_it() {
-        let (mut m, id, slot) = ml_machine(ExecMode::Interp);
+        let (mut m, id, slot) = ml_machine();
         m.set_obs_config(ObsConfig {
             accuracy_window: 4,
             accuracy_windows: 2,
@@ -3412,7 +3372,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_captures_periodic_frames() {
-        let (mut m, id, slot) = ml_machine(ExecMode::Interp);
+        let (mut m, id, slot) = ml_machine();
         m.set_obs_config(ObsConfig {
             flight_interval: 4,
             flight_capacity: 2,
@@ -3446,7 +3406,7 @@ mod tests {
 
     #[test]
     fn obs_snapshot_includes_model_stats() {
-        let (mut m, id, _slot) = ml_machine(ExecMode::Jit);
+        let (mut m, id, _slot) = ml_machine();
         let mut ctxt = Ctxt::from_values(vec![9]);
         m.fire("h", &mut ctxt);
         let snap = m.obs_snapshot();

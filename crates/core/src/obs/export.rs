@@ -16,21 +16,20 @@
 //! the Prometheus text can be cross-checked against the JSON document
 //! (and is, in `tests/obs_export.rs`).
 //!
-//! [`serve_once`] is an optional blocking one-shot HTTP responder over
-//! `std::net::TcpListener`: it accepts a single connection, answers
-//! one `GET /metrics` (Prometheus text) or `GET /metrics.json` (JSON)
-//! request, and returns. There is no server loop, thread pool, or
-//! keep-alive — the caller decides when (and whether) to block, which
-//! keeps the machine itself free of any network dependency. See
-//! [`crate::machine::RmtMachine::serve_metrics_once`].
-//!
-//! [`serve_until`] is the persistent sibling: the same hardened
-//! single-request parser in a loop, answering scrapes and read-only
-//! `GET /ctrl/*` queries from a live [`MetricsSource`] until a stop
-//! flag flips — one machine, one server, its whole life. Still
-//! single-threaded, still std-only: the caller donates exactly one
-//! thread, and a slow or broken client can delay the next accept but
-//! never wedge the loop past the read timeout.
+//! [`serve_until`] is an optional blocking HTTP responder over
+//! `std::net::TcpListener`: a hardened single-request parser in a
+//! loop, answering `GET /metrics` (Prometheus text), `GET
+//! /metrics.json` (JSON) and read-only `GET /ctrl/*` queries from a
+//! live [`MetricsSource`] until a stop flag flips — one machine, one
+//! server, its whole life (see
+//! [`crate::machine::RmtMachine::serve_metrics_until`]). There is no
+//! thread pool or keep-alive — the caller decides when (and whether)
+//! to block, donating exactly one thread, which keeps the machine
+//! itself free of any network dependency; a slow or broken client can
+//! delay the next accept but never wedge the loop past the read
+//! timeout. [`serve_once_with`] is the same parser for exactly one
+//! connection over a fixed snapshot — the seam the hostile-client
+//! tests drive.
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -415,8 +414,8 @@ pub fn to_json(snap: &ObsSnapshot) -> String {
     rkd_testkit::json::to_string(snap)
 }
 
-/// Tunables for [`serve_once_with`]. `Default` gives the historical
-/// [`serve_once`] behaviour: 5-second read timeout, 16 KiB head cap.
+/// Tunables for [`serve_until`] and [`serve_once_with`]. `Default`:
+/// 5-second read timeout, 16 KiB head cap.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
     /// How long a blocking read may wait for request bytes before the
@@ -434,12 +433,6 @@ impl Default for ServeOptions {
             max_head_bytes: 16 * 1024,
         }
     }
-}
-
-/// Serves exactly one HTTP request from `listener` with the default
-/// [`ServeOptions`], then returns. See [`serve_once_with`].
-pub fn serve_once(listener: &TcpListener, snap: &ObsSnapshot) -> std::io::Result<String> {
-    serve_once_with(listener, snap, ServeOptions::default())
 }
 
 /// Serves exactly one HTTP request from `listener`, then returns.

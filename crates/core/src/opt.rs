@@ -1,8 +1,10 @@
 //! Bytecode optimizing-pass pipeline.
 //!
 //! §3.1 compiles table matches and actions into RMT bytecode; this
-//! module is the optimizer that sits between the verifier and
-//! [`crate::jit::CompiledAction::compile`]. It is a classic fixpoint
+//! module is the optimizer that sits between the verifier and the
+//! one execution engine, [`crate::interp::run_action`] — the paper's
+//! "JIT for efficiency" realised as install-time bytecode rewriting
+//! ([`optimize_reverified`]). It is a classic fixpoint
 //! driver over small [`Pass`] structs: each pass rewrites an action
 //! body in place (or removes instructions), the driver re-runs the
 //! whole pipeline until no pass fires, and a hard iteration bound
@@ -81,7 +83,10 @@
 
 use crate::bytecode::{Action, CmpOp, Insn, Reg, VReg, ARG_REG, NUM_REGS, NUM_VREGS};
 use crate::ctxt::FieldId;
+use crate::error::VmError;
+use crate::prog::RmtProgram;
 use crate::table::Table;
+use crate::verifier::reverify_action;
 
 /// Hard bound on fixpoint rounds: the driver re-runs the pass list at
 /// most this many times. Each round either fires a pass (strictly
@@ -93,8 +98,9 @@ pub const MAX_FIXPOINT_ROUNDS: usize = 16;
 /// Optimization level for action compilation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum OptLevel {
-    /// No optimization: the JIT compiles exactly what the verifier
-    /// admitted. Retained as the oracle path for differential testing.
+    /// No optimization: the machine executes exactly what the
+    /// verifier admitted, unfused. Retained as the oracle path for
+    /// differential testing.
     O0,
     /// Generic passes: constant folding, dead-code elimination, branch
     /// folding + unreachable-code elimination.
@@ -160,8 +166,7 @@ pub fn optimize(action: &Action, level: OptLevel) -> Optimized {
 }
 
 /// Runs an explicit pass list to fixpoint with an explicit round
-/// bound. This is the seam the broken-pass meta-safety tests drive;
-/// production callers use [`optimize`].
+/// bound.
 ///
 /// # Panics
 ///
@@ -206,6 +211,45 @@ pub fn optimize_with(action: &Action, passes: &[&dyn Pass], max_rounds: usize) -
         fired,
         capped,
     }
+}
+
+/// Optimize → re-verify: runs `passes` over `action` to fixpoint and
+/// puts the rewritten body through [`reverify_action`] against `prog`.
+/// Returns the pipeline report (whose `action` is the body to install)
+/// and the body's worst-case dynamic instruction count — the
+/// re-verified bound, or `worst_case` (the bound of the body as
+/// written) when that is tighter.
+///
+/// This is the only way a rewritten body reaches the machine: install,
+/// `SetOptLevel` and chain fusion all come through here, so a pass
+/// that emits an inadmissible body is a hard [`VmError::Verify`],
+/// never an installed miscompilation. The explicit pass list is the
+/// seam the broken-pass meta-safety tests drive.
+pub fn optimize_reverified_with(
+    id: u16,
+    action: &Action,
+    prog: &RmtProgram,
+    passes: &[&dyn Pass],
+    worst_case: u64,
+) -> Result<(Optimized, u64), VmError> {
+    let opt = optimize_with(action, passes, MAX_FIXPOINT_ROUNDS);
+    let wc = reverify_action(id, &opt.action, prog)?;
+    Ok((opt, wc.min(worst_case)))
+}
+
+/// [`optimize_reverified_with`] over the standard pipeline for
+/// `level`. At [`OptLevel::O0`] the pass list is empty and the result
+/// is the verified body as written.
+pub fn optimize_reverified(
+    id: u16,
+    action: &Action,
+    prog: &RmtProgram,
+    level: OptLevel,
+    worst_case: u64,
+) -> Result<(Optimized, u64), VmError> {
+    let passes = passes_for(level);
+    let refs: Vec<&dyn Pass> = passes.iter().map(|p| p.as_ref()).collect();
+    optimize_reverified_with(id, action, prog, &refs, worst_case)
 }
 
 /// The set of fields an action body can write (its `StCtxt` targets).

@@ -148,10 +148,10 @@ pub struct RmtProgram {
     pub rate_limit: Option<RateLimitCfg>,
     /// Privacy policy (meaningful when any map is shared).
     pub privacy: PrivacyPolicy,
-    /// Optimization level for JIT compilation of this program's
-    /// actions (ignored in interpreter mode). Defaults to
+    /// Optimization level for this program's actions — the only
+    /// selector of what the machine executes. Defaults to
     /// [`OptLevel::O2`]; [`OptLevel::O0`] is the oracle path that
-    /// executes exactly the verified bytecode.
+    /// executes exactly the verified bytecode, unfused.
     pub opt_level: OptLevel,
 }
 
@@ -339,8 +339,8 @@ impl ProgramBuilder {
         self
     }
 
-    /// Sets the JIT optimization level (defaults to [`OptLevel::O2`];
-    /// [`OptLevel::O0`] compiles the verified bytecode unchanged).
+    /// Sets the optimization level (defaults to [`OptLevel::O2`];
+    /// [`OptLevel::O0`] executes the verified bytecode unchanged).
     pub fn opt_level(&mut self, level: OptLevel) -> &mut Self {
         self.prog.opt_level = level;
         self

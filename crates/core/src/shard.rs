@@ -28,7 +28,7 @@
 //! - **Merged telemetry** — [`ShardedMachine::obs_snapshot`] merges
 //!   per-shard snapshots into one standard
 //!   [`ObsSnapshot`](crate::obs::ObsSnapshot), so the Prometheus/JSON
-//!   exporters (and [`ShardedMachine::serve_metrics_once`]) work on a
+//!   exporters (and [`ShardedMachine::serve_metrics_until`]) work on a
 //!   sharded machine unchanged.
 //!
 //! ## What is and isn't linearizable
@@ -748,14 +748,9 @@ impl ShardedMachine {
         self.collect(|m| m.obs_snapshot())
     }
 
-    /// Serves one metrics scrape of the *merged* snapshot — the
-    /// sharded analogue of [`RmtMachine::serve_metrics_once`].
-    pub fn serve_metrics_once(&self, listener: &std::net::TcpListener) -> std::io::Result<String> {
-        crate::obs::export::serve_once(listener, &self.obs_snapshot())
-    }
-
-    /// Serves merged scrapes and read-only `/ctrl/*` queries until
-    /// `stop` flips (see [`crate::obs::export::serve_until`]). `&self`
+    /// Serves scrapes of the *merged* snapshot and read-only `/ctrl/*`
+    /// queries until `stop` flips — the sharded analogue of
+    /// [`RmtMachine::serve_metrics_until`]. `&self`
     /// — the control plane stays usable from other threads while one
     /// thread donates itself to the server.
     pub fn serve_metrics_until(

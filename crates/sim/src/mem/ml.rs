@@ -61,8 +61,6 @@ pub struct MlPrefetchConfig {
     pub window: usize,
     /// Tree hyperparameters.
     pub tree: TreeConfig,
-    /// Execution mode for the installed program.
-    pub mode: ExecMode,
 }
 
 impl Default for MlPrefetchConfig {
@@ -77,7 +75,6 @@ impl Default for MlPrefetchConfig {
                 min_samples_split: 4,
                 max_thresholds: 32,
             },
-            mode: ExecMode::Jit,
         }
     }
 }
@@ -340,7 +337,7 @@ impl MlPrefetcher {
         let verified = verify(prog).expect("generated prefetch program must verify");
         let mut machine = RmtMachine::new();
         let prog_id = machine
-            .install(verified, cfg.mode)
+            .install(verified, ExecMode::Jit)
             .expect("install verified program");
         MlPrefetcher {
             machine,
@@ -774,20 +771,6 @@ mod tests {
                 .unwrap();
             let mirror = p.delta_vocab.get(&delta).map(|&c| c as i64);
             assert_eq!(datapath, mirror, "delta {delta}");
-        }
-    }
-
-    #[test]
-    fn interp_and_jit_modes_both_work() {
-        for mode in [ExecMode::Interp, ExecMode::Jit] {
-            let mut p = MlPrefetcher::new(MlPrefetchConfig {
-                mode,
-                ..MlPrefetchConfig::default()
-            });
-            for i in 0..600u64 {
-                let _ = p.on_access(i * 5);
-            }
-            assert!(p.retrains() >= 1);
         }
     }
 }

@@ -150,7 +150,8 @@ pub struct MlPolicy {
 impl MlPolicy {
     /// Builds and installs the policy program for a quantized MLP over
     /// the feature subset `selected` (use `0..N_FEATURES` for the
-    /// full-featured model).
+    /// full-featured model). `mode` is the machine's inert install tag
+    /// (see [`ExecMode`]).
     ///
     /// # Panics
     ///

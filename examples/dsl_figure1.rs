@@ -32,7 +32,7 @@ fn main() {
     let verified = verify(compiled.program.clone()).expect("verifier admits");
     let mut vm = RmtMachine::new();
     let prog = vm.install(verified, ExecMode::Jit).expect("install");
-    println!("installed as program {prog:?} (JIT mode)\n");
+    println!("installed as program {prog:?}\n");
 
     // Control plane: publish a delta-class vocabulary and a trained
     // tree (offline "userspace training" stand-in). Class 1 = stride

@@ -2,8 +2,8 @@
 //!
 //! The five-minute tour of the architecture: declare a table at a
 //! kernel hook, attach a bytecode action, push it through the verifier
-//! (`rmt_verify()`), install it into the VM (`syscall_rmt()` +
-//! `rmt_jit()`), and watch hook firings flow through match/action
+//! (`rmt_verify()`), install it into the VM (`syscall_rmt()`, which
+//! optimizes and re-verifies the bytecode), and watch hook firings flow through match/action
 //! processing.
 //!
 //! ```sh
@@ -63,7 +63,8 @@ fn main() {
         verified.worst_case_insns()
     );
 
-    // 3. Install in JIT mode.
+    // 3. Install (the mode argument is an inert tag; `OptLevel` on the
+    //    builder is what selects the executed bodies).
     let mut vm = RmtMachine::new();
     let prog = vm.install(verified, ExecMode::Jit).expect("install");
 

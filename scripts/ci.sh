@@ -155,6 +155,18 @@ grep -q '^trace ok$' /tmp/rkd_trace_flight.out \
 test -s /tmp/rkd_trace_flight.json \
     || { echo "ERROR: trace_flight wrote no Chrome trace JSON" >&2; exit 1; }
 
+echo "==> repo benchmark (bench/) builds, passes its tests and --smoke against the current API"
+cargo test -q --offline --manifest-path bench/Cargo.toml \
+    || { echo "ERROR: bench/ no longer builds or passes its tests (public API drifted from bench/src/sut.rs)" >&2; exit 1; }
+cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- --smoke >/dev/null \
+    || { echo "ERROR: repo benchmark --smoke failed" >&2; exit 1; }
+
+echo "==> one execution engine: no jit.rs, no CompiledAction"
+if [ -e crates/core/src/jit.rs ] || grep -rnE 'CompiledAction|core::jit' crates src tests examples; then
+    echo "ERROR: a second execution engine crept back in (interp::run_action is the only dispatch loop)" >&2
+    exit 1
+fi
+
 echo "==> dependency closure must be workspace-only"
 external=$(cargo tree --offline --workspace --edges normal,build,dev \
     | grep -oE '[a-z0-9_-]+ v[0-9][0-9.]*' | sort -u | grep -v '^rkd' || true)

@@ -1,7 +1,8 @@
 //! Shared harness for the VM differential tests: a PRNG-driven
-//! generator of safe-subset bytecode and the three-way equivalence
-//! checker (interpreter vs unoptimized JIT vs optimized JIT) that
-//! `vm_equivalence` and `differential_smoke` drive.
+//! generator of safe-subset bytecode and the two-way equivalence
+//! checker (the verified body as written, O0, vs its O2-optimized
+//! rewrite, both executed by `run_action`) that `vm_equivalence` and
+//! `differential_smoke` drive.
 
 #![allow(dead_code)] // Each test target uses a different subset.
 
@@ -9,9 +10,8 @@ use rkd::core::bytecode::{Action, AluOp, CmpOp, Insn, Reg, VReg};
 use rkd::core::ctxt::Ctxt;
 use rkd::core::dp::PrivacyLedger;
 use rkd::core::interp::{run_action, ExecEnv};
-use rkd::core::jit::CompiledAction;
 use rkd::core::maps::{MapDef, MapId, MapInstance, MapKind};
-use rkd::core::opt::OptLevel;
+use rkd::core::opt::{optimize_reverified, OptLevel};
 use rkd::core::prog::{PrivacyPolicy, ProgramBuilder};
 use rkd::core::table::MatchKind;
 use rkd::core::verifier::verify;
@@ -159,14 +159,9 @@ impl Fx {
     }
 }
 
-/// Runs `action` on one engine against a fresh fixture and returns the
-/// outcome plus the fixture's final state.
-fn run_engine(
-    action: &rkd::core::bytecode::Action,
-    compiled: Option<&CompiledAction>,
-    fuel: u64,
-    arg: i64,
-) -> (rkd::core::interp::ActionOutcome, Fx) {
+/// Runs `action` against a fresh fixture and returns the outcome plus
+/// the fixture's final state.
+fn run_body(action: &Action, fuel: u64, arg: i64) -> (rkd::core::interp::ActionOutcome, Fx) {
     let mut fx = Fx::new();
     let outcome = {
         let tensors = Vec::new();
@@ -183,10 +178,7 @@ fn run_engine(
             ml_stats: &mut [],
             time_ml: false,
         };
-        match compiled {
-            Some(c) => c.run(fuel, arg, &mut env),
-            None => run_action(action, fuel, arg, &mut env),
-        }
+        run_action(action, fuel, arg, &mut env)
     };
     (
         outcome.expect("admitted program terminates within bound"),
@@ -195,16 +187,15 @@ fn run_engine(
 }
 
 /// Generates an action, routes it through the real verifier, and (for
-/// admitted programs) asserts the three-way oracle: interpretation,
-/// unoptimized (O0) JIT, and optimized JIT execution agree bit-for-bit
-/// on outcome, context, and map state.
-pub fn check_interp_jit_equivalence(raw: Vec<Insn>, arg: i64) {
-    run_interp_jit_equivalence(raw, arg);
+/// admitted programs) asserts the two-way oracle: the body as written
+/// (O0) and its O2 rewrite agree on outcome, context, and map state.
+pub fn check_o0_o2_equivalence(raw: Vec<Insn>, arg: i64) {
+    run_o0_o2_equivalence(raw, arg);
 }
 
-/// Like [`check_interp_jit_equivalence`], but reports whether the
-/// verifier admitted the program (so callers can track coverage).
-pub fn run_interp_jit_equivalence(raw: Vec<Insn>, arg: i64) -> bool {
+/// Like [`check_o0_o2_equivalence`], but reports whether the verifier
+/// admitted the program (so callers can track coverage).
+pub fn run_o0_o2_equivalence(raw: Vec<Insn>, arg: i64) -> bool {
     let action = make_action(raw);
     // Route through the real verifier via a minimal program.
     let mut b = ProgramBuilder::new("prop");
@@ -222,44 +213,38 @@ pub fn run_interp_jit_equivalence(raw: Vec<Insn>, arg: i64) -> bool {
     };
     let fuel = verified.worst_case_insns()[0];
 
-    // Engine 1: the interpreter (reference semantics).
-    let (interp, mut fx_i) = run_engine(&action, None, fuel, arg);
+    // Both bodies come out of the machine's own install path. O0 is
+    // the reference: the verified body as written.
+    let (o0, wc0) = optimize_reverified(0, &action, verified.prog(), OptLevel::O0, fuel)
+        .expect("the verified body must re-pass the verifier");
+    assert_eq!(o0.action.code, action.code, "O0 must not rewrite");
+    assert_eq!(wc0, fuel, "re-verification must reproduce the bound");
+    let (reference, mut fx_r) = run_body(&o0.action, fuel, arg);
     // Soundness: an admitted program must not exhaust its verified
     // fuel.
-    assert!(interp.insns_executed <= fuel);
+    assert!(reference.insns_executed <= fuel);
 
-    // Engine 2: the unoptimized (O0 oracle path) JIT — bit-for-bit
-    // identical, including the dynamic instruction count.
-    let unopt = CompiledAction::compile(&action).unwrap();
-    let (jit, mut fx_j) = run_engine(&action, Some(&unopt), fuel, arg);
-    assert_eq!(interp, jit);
-    assert_eq!(fx_i.ctxt, fx_j.ctxt);
-    for (a, b) in fx_i.maps.iter_mut().zip(fx_j.maps.iter_mut()) {
-        assert_eq!(a.aggregate_sum(), b.aggregate_sum());
-        assert_eq!(a.len(), b.len());
-    }
-
-    // Engine 3: the optimized JIT. compile_optimized re-verifies the
-    // rewritten body (meta-safety: a pass emitting an inadmissible
-    // body is a hard compile error, which this corpus would surface).
-    let (optimized, _wc) =
-        CompiledAction::compile_optimized(0, &action, verified.prog(), OptLevel::O2, fuel)
-            .expect("optimizer output must re-pass the verifier");
-    let (opt, mut fx_o) = run_engine(&action, Some(&optimized), fuel, arg);
+    // O2 re-verifies the rewritten body (meta-safety: a pass emitting
+    // an inadmissible body is a hard install error, which this corpus
+    // would surface) and runs on its own, never-looser, bound.
+    let (o2, wc2) = optimize_reverified(0, &action, verified.prog(), OptLevel::O2, fuel)
+        .expect("optimizer output must re-pass the verifier");
+    assert!(wc2 <= fuel);
+    let (opt, mut fx_o) = run_body(&o2.action, wc2, arg);
     // Same observable outcome; the optimized body may execute fewer
     // dynamic instructions, never more.
-    assert_eq!(interp.verdict, opt.verdict);
-    assert_eq!(interp.effects, opt.effects);
-    assert_eq!(interp.tail_call, opt.tail_call);
-    assert_eq!(interp.guard_trips, opt.guard_trips);
+    assert_eq!(reference.verdict, opt.verdict);
+    assert_eq!(reference.effects, opt.effects);
+    assert_eq!(reference.tail_call, opt.tail_call);
+    assert_eq!(reference.guard_trips, opt.guard_trips);
     assert!(
-        opt.insns_executed <= interp.insns_executed,
+        opt.insns_executed <= reference.insns_executed,
         "optimization increased executed instructions ({} -> {})",
-        interp.insns_executed,
+        reference.insns_executed,
         opt.insns_executed
     );
-    assert_eq!(fx_i.ctxt, fx_o.ctxt);
-    for (a, b) in fx_i.maps.iter_mut().zip(fx_o.maps.iter_mut()) {
+    assert_eq!(fx_r.ctxt, fx_o.ctxt);
+    for (a, b) in fx_r.maps.iter_mut().zip(fx_o.maps.iter_mut()) {
         assert_eq!(a.aggregate_sum(), b.aggregate_sum());
         assert_eq!(a.len(), b.len());
     }

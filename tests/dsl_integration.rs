@@ -3,15 +3,19 @@
 
 use rkd::core::ctxt::Ctxt;
 use rkd::core::machine::{ExecMode, RmtMachine};
+use rkd::core::opt::OptLevel;
 use rkd::core::verifier::verify;
 use rkd::lang::compile;
 
-/// Compiles, verifies, installs, and fires once; returns the verdict.
-fn run_program(src: &str, hook: &str, ctxt_values: Vec<i64>, mode: ExecMode) -> Option<i64> {
-    let compiled = compile(src).expect("compiles");
+/// Compiles, verifies, installs at `level`, and fires once; returns
+/// the verdict. `O0` executes the lowered bytecode as written — the
+/// reference the optimized runs are held against.
+fn run_program(src: &str, hook: &str, ctxt_values: Vec<i64>, level: OptLevel) -> Option<i64> {
+    let mut compiled = compile(src).expect("compiles");
+    compiled.program.opt_level = level;
     let verified = verify(compiled.program).expect("verifies");
     let mut vm = RmtMachine::new();
-    vm.install(verified, mode).expect("installs");
+    vm.install(verified, ExecMode::Jit).expect("installs");
     let mut ctxt = Ctxt::from_values(ctxt_values);
     vm.fire(hook, &mut ctxt).verdict()
 }
@@ -30,8 +34,8 @@ fn arithmetic_and_precedence() {
             ctxt f: ro;
         }
     "#;
-    for mode in [ExecMode::Interp, ExecMode::Jit] {
-        assert_eq!(run_program(src, "h", vec![0], mode), Some(1585));
+    for level in [OptLevel::O0, OptLevel::O2] {
+        assert_eq!(run_program(src, "h", vec![0], level), Some(1585));
     }
 }
 
@@ -55,12 +59,9 @@ fn control_flow_and_ctxt() {
             table t { hook h; match x; default classify; }
         }
     "#;
-    assert_eq!(run_program(src, "h", vec![-5, 0], ExecMode::Jit), Some(-1));
-    assert_eq!(run_program(src, "h", vec![150, 0], ExecMode::Jit), Some(2));
-    assert_eq!(
-        run_program(src, "h", vec![42, 0], ExecMode::Interp),
-        Some(1)
-    );
+    assert_eq!(run_program(src, "h", vec![-5, 0], OptLevel::O2), Some(-1));
+    assert_eq!(run_program(src, "h", vec![150, 0], OptLevel::O2), Some(2));
+    assert_eq!(run_program(src, "h", vec![42, 0], OptLevel::O0), Some(1));
 }
 
 #[test]
@@ -80,8 +81,8 @@ fn bounded_loops() {
             table t { hook h; match n; default sum; }
         }
     "#;
-    assert_eq!(run_program(src, "h", vec![0], ExecMode::Interp), Some(45));
-    assert_eq!(run_program(src, "h", vec![0], ExecMode::Jit), Some(45));
+    assert_eq!(run_program(src, "h", vec![0], OptLevel::O0), Some(45));
+    assert_eq!(run_program(src, "h", vec![0], OptLevel::O2), Some(45));
 }
 
 #[test]
@@ -124,9 +125,9 @@ fn entries_override_default() {
             entry t key (20) action special arg 222;
         }
     "#;
-    assert_eq!(run_program(src, "h", vec![10], ExecMode::Jit), Some(111));
-    assert_eq!(run_program(src, "h", vec![20], ExecMode::Interp), Some(222));
-    assert_eq!(run_program(src, "h", vec![30], ExecMode::Jit), Some(0));
+    assert_eq!(run_program(src, "h", vec![10], OptLevel::O2), Some(111));
+    assert_eq!(run_program(src, "h", vec![20], OptLevel::O0), Some(222));
+    assert_eq!(run_program(src, "h", vec![30], OptLevel::O2), Some(0));
 }
 
 #[test]
@@ -143,8 +144,8 @@ fn tail_call_cascade() {
             table second_tab { hook never; match pid; default second; }
         }
     "#;
-    assert_eq!(run_program(src, "h", vec![1], ExecMode::Interp), Some(77));
-    assert_eq!(run_program(src, "h", vec![1], ExecMode::Jit), Some(77));
+    assert_eq!(run_program(src, "h", vec![1], OptLevel::O0), Some(77));
+    assert_eq!(run_program(src, "h", vec![1], OptLevel::O2), Some(77));
 }
 
 #[test]

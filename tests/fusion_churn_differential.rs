@@ -1,11 +1,12 @@
 //! Differential test for tail-call chain fusion under control-plane
-//! churn: seeded random match chains replayed through an interpreter
-//! machine and a JIT machine at the default opt level (O2, fusion on),
-//! with `InsertEntry` / `RemoveEntry` mutations applied mid-replay to
-//! both — exactly the pattern that invalidates baked fused chains.
+//! churn: seeded random match chains replayed through a reference
+//! machine switched to O0 (bodies as written, no fusion) and a machine
+//! at the default opt level (O2, fusion on), with `InsertEntry` /
+//! `RemoveEntry` mutations applied mid-replay to both — exactly the
+//! pattern that invalidates baked fused chains.
 //!
 //! Every fire must produce identical verdict sequences and effects on
-//! both engines, and the cumulative per-program and per-table counters
+//! both machines, and the cumulative per-program and per-table counters
 //! must agree at the end of each replay. Fused execution synthesizes
 //! the bookkeeping (intermediate verdicts, tail-call counts, hit/miss
 //! counts) that the collapsed chain no longer performs; this suite is
@@ -16,6 +17,7 @@
 use rkd::core::bytecode::{Action, AluOp, Insn, Reg};
 use rkd::core::ctxt::Ctxt;
 use rkd::core::machine::{ExecMode, RmtMachine};
+use rkd::core::opt::OptLevel;
 use rkd::core::prog::ProgramBuilder;
 use rkd::core::table::{ActionId, Entry, MatchKey, MatchKind, TableId};
 use rkd::core::verifier::verify;
@@ -119,8 +121,8 @@ fn gen_chain(rng: &mut StdRng) -> ChainProg {
 fn churn(
     rng: &mut StdRng,
     cp: &ChainProg,
-    interp: (&mut RmtMachine, rkd::core::machine::ProgId),
-    jit: (&mut RmtMachine, rkd::core::machine::ProgId),
+    reference: (&mut RmtMachine, rkd::core::machine::ProgId),
+    fused: (&mut RmtMachine, rkd::core::machine::ProgId),
 ) {
     let ti = TableId(rng.gen_range(1..=cp.stages as u16));
     // Aim at the key the chain actually resolves through when there is
@@ -137,12 +139,12 @@ fn churn(
             action: ActionId(rng.gen_range(1..=(cp.stages + 1) as u16 - 1)),
             arg: rng.gen_range(-50i64..50),
         };
-        let a = interp.0.insert_entry(interp.1, ti, entry.clone());
-        let b = jit.0.insert_entry(jit.1, ti, entry);
+        let a = reference.0.insert_entry(reference.1, ti, entry.clone());
+        let b = fused.0.insert_entry(fused.1, ti, entry);
         assert_eq!(a.is_ok(), b.is_ok(), "insert_entry outcomes diverge");
     } else {
-        let a = interp.0.remove_entry(interp.1, ti, &key);
-        let b = jit.0.remove_entry(jit.1, ti, &key);
+        let a = reference.0.remove_entry(reference.1, ti, &key);
+        let b = fused.0.remove_entry(fused.1, ti, &key);
         assert_eq!(a.unwrap(), b.unwrap(), "remove_entry outcomes diverge");
     }
 }
@@ -153,51 +155,54 @@ fn fused_chains_stay_exact_under_mid_replay_entry_churn() {
     for s in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(BASE_SEED.wrapping_add(s));
         let cp = gen_chain(&mut rng);
-        let mut interp = RmtMachine::new();
-        let mut jit = RmtMachine::new();
-        let pi = interp
-            .install(cp.prog.clone(), ExecMode::Interp)
-            .expect("install interp");
-        let pj = jit
+        let mut reference = RmtMachine::new();
+        let mut fused = RmtMachine::new();
+        let pr = reference
             .install(cp.prog.clone(), ExecMode::Jit)
-            .expect("install jit");
+            .expect("install reference");
+        reference
+            .set_opt_level(pr, OptLevel::O0)
+            .expect("O0 reference");
+        let pf = fused
+            .install(cp.prog.clone(), ExecMode::Jit)
+            .expect("install fused");
         for f in 0..FIRES_PER_SEED {
             if f > 0 && rng.gen_bool(0.3) {
-                churn(&mut rng, &cp, (&mut interp, pi), (&mut jit, pj));
+                churn(&mut rng, &cp, (&mut reference, pr), (&mut fused, pf));
             }
             let pid_val = rng.gen_range(0i64..4);
-            let mut ci = Ctxt::from_values(vec![pid_val, 0]);
-            let mut cj = Ctxt::from_values(vec![pid_val, 0]);
-            let ri = interp.fire("h", &mut ci);
-            let rj = jit.fire("h", &mut cj);
+            let mut cr = Ctxt::from_values(vec![pid_val, 0]);
+            let mut cf = Ctxt::from_values(vec![pid_val, 0]);
+            let rr = reference.fire("h", &mut cr);
+            let rf = fused.fire("h", &mut cf);
             assert_eq!(
-                ri.verdicts, rj.verdicts,
+                rr.verdicts, rf.verdicts,
                 "seed {s} fire {f}: verdict streams diverge"
             );
             assert_eq!(
-                ri.effects, rj.effects,
+                rr.effects, rf.effects,
                 "seed {s} fire {f}: effect streams diverge"
             );
-            assert_eq!(ci, cj, "seed {s} fire {f}: contexts diverge");
+            assert_eq!(cr, cf, "seed {s} fire {f}: contexts diverge");
         }
-        let si = interp.stats(pi).unwrap();
-        let sj = jit.stats(pj).unwrap();
-        assert_eq!(si.invocations, sj.invocations, "seed {s}: invocations");
-        assert_eq!(si.actions_run, sj.actions_run, "seed {s}: actions_run");
-        assert_eq!(si.tail_calls, sj.tail_calls, "seed {s}: tail_calls");
-        assert_eq!(si.guard_trips, sj.guard_trips, "seed {s}: guard_trips");
+        let sr = reference.stats(pr).unwrap();
+        let sf = fused.stats(pf).unwrap();
+        assert_eq!(sr.invocations, sf.invocations, "seed {s}: invocations");
+        assert_eq!(sr.actions_run, sf.actions_run, "seed {s}: actions_run");
+        assert_eq!(sr.tail_calls, sf.tail_calls, "seed {s}: tail_calls");
+        assert_eq!(sr.guard_trips, sf.guard_trips, "seed {s}: guard_trips");
         assert_eq!(
-            si.actions_aborted, sj.actions_aborted,
+            sr.actions_aborted, sf.actions_aborted,
             "seed {s}: actions_aborted"
         );
         for t in 0..=cp.stages as u16 {
             assert_eq!(
-                interp.table_stats(pi, TableId(t)).unwrap(),
-                jit.table_stats(pj, TableId(t)).unwrap(),
+                reference.table_stats(pr, TableId(t)).unwrap(),
+                fused.table_stats(pf, TableId(t)).unwrap(),
                 "seed {s}: table {t} hit/miss counters diverge"
             );
         }
-        fused_seen += jit.opt_stats(pj).unwrap().fused_chains;
+        fused_seen += fused.opt_stats(pf).unwrap().fused_chains;
     }
     // Coverage guard: the generator must actually produce fused chains
     // (post-churn plans counted once per seed), or this suite silently

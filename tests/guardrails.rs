@@ -5,6 +5,7 @@
 use rkd::core::ctxt::Ctxt;
 use rkd::core::guard::ModelGuard;
 use rkd::core::machine::{ExecMode, RmtMachine};
+use rkd::core::opt::OptLevel;
 use rkd::core::prog::{ModelSpec, ProgramBuilder};
 use rkd::core::table::MatchKind;
 use rkd::core::verifier::verify;
@@ -27,8 +28,9 @@ fn wild_tree() -> DecisionTree {
     DecisionTree::train(&ds, &TreeConfig::default()).unwrap()
 }
 
-fn guarded_machine(guard: ModelGuard, mode: ExecMode) -> RmtMachine {
+fn guarded_machine(guard: ModelGuard, level: OptLevel) -> RmtMachine {
     let mut b = ProgramBuilder::new("guarded");
+    b.opt_level(level);
     let x = b.field_readonly("x");
     let slot = b.model_guarded(
         "m",
@@ -54,14 +56,14 @@ fn guarded_machine(guard: ModelGuard, mode: ExecMode) -> RmtMachine {
     b.table("t", "h", &[x], MatchKind::Exact, Some(act), 4);
     let verified = verify(b.build()).unwrap();
     let mut vm = RmtMachine::new();
-    vm.install(verified, mode).unwrap();
+    vm.install(verified, ExecMode::Jit).unwrap();
     vm
 }
 
 #[test]
-fn wild_class_clamped_in_both_engines() {
-    for mode in [ExecMode::Interp, ExecMode::Jit] {
-        let mut vm = guarded_machine(ModelGuard::clamp(1, 0), mode);
+fn wild_class_clamped_at_o0_and_o2() {
+    for level in [OptLevel::O0, OptLevel::O2] {
+        let mut vm = guarded_machine(ModelGuard::clamp(1, 0), level);
         // Benign input: class 0 passes through.
         let mut ctxt = Ctxt::from_values(vec![0]);
         assert_eq!(vm.fire("h", &mut ctxt).verdict(), Some(0));
@@ -180,7 +182,7 @@ fn malformed_guard_rejected_by_verifier() {
 
 #[test]
 fn guard_survives_model_hot_swap() {
-    let mut vm = guarded_machine(ModelGuard::clamp(1, 0), ExecMode::Jit);
+    let mut vm = guarded_machine(ModelGuard::clamp(1, 0), OptLevel::default());
     let id = vm.program_ids()[0];
     // Swap in a fresh (equally wild) model: the slot's guard persists.
     vm.update_model(

@@ -159,6 +159,16 @@ fn closed_loop_drift_detection_and_recovery() {
     assert_eq!(*accs.last().unwrap(), 1000, "recovery visible in {accs:?}");
 }
 
+/// One `GET path` against the loopback server at `addr`; returns the
+/// whole response (head and body).
+fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    write!(conn, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let mut response = String::new();
+    conn.read_to_string(&mut response).unwrap();
+    response
+}
+
 /// Acceptance: Prometheus and JSON render the *same* snapshot, served
 /// over a real loopback socket, and agree on every counter value.
 #[test]
@@ -169,31 +179,32 @@ fn loopback_scrape_prometheus_and_json_agree() {
     }
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let get = |path: &str| http_get(addr, path);
     let mut bodies = Vec::new();
-    for path in ["/metrics", "/metrics.json"] {
-        let client = std::thread::spawn(move || {
-            let mut conn = TcpStream::connect(addr).unwrap();
-            write!(conn, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-            let mut response = String::new();
-            conn.read_to_string(&mut response).unwrap();
-            response
-        });
-        assert_eq!(m.serve_metrics_once(&listener).unwrap(), path);
-        let response = client.join().unwrap();
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        let expected_type = if path == "/metrics" {
-            "text/plain; version=0.0.4"
-        } else {
-            "application/json"
-        };
-        assert!(head.contains(expected_type), "{head}");
-        assert!(
-            head.contains(&format!("Content-Length: {}", body.len())),
-            "{head}"
-        );
-        bodies.push(body.to_string());
-    }
+    std::thread::scope(|s| {
+        let server = s.spawn(|| m.serve_metrics_until(&listener, &stop));
+        for path in ["/metrics", "/metrics.json"] {
+            let response = get(path);
+            let (head, body) = response.split_once("\r\n\r\n").unwrap();
+            assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+            let expected_type = if path == "/metrics" {
+                "text/plain; version=0.0.4"
+            } else {
+                "application/json"
+            };
+            assert!(head.contains(expected_type), "{head}");
+            assert!(
+                head.contains(&format!("Content-Length: {}", body.len())),
+                "{head}"
+            );
+            bodies.push(body.to_string());
+        }
+        // An unknown path is a 404, not a hang or a panic.
+        assert!(get("/nope").starts_with("HTTP/1.1 404"));
+        stop.store(true, std::sync::atomic::Ordering::Release);
+        assert_eq!(server.join().unwrap().unwrap(), 3);
+    });
     let prom = &bodies[0];
     let snap: ObsSnapshot = from_json_str(&bodies[1]).unwrap();
     // No traffic between the two scrapes, so the JSON body decodes the
@@ -224,16 +235,6 @@ fn loopback_scrape_prometheus_and_json_agree() {
     }
     assert_eq!(ms.served, 100);
     assert_eq!(ms.outcomes, 100);
-    // An unknown path is a 404, not a hang or a panic.
-    let client = std::thread::spawn(move || {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(conn, "GET /nope HTTP/1.1\r\n\r\n").unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
-        response
-    });
-    assert_eq!(m.serve_metrics_once(&listener).unwrap(), "/nope");
-    assert!(client.join().unwrap().starts_with("HTTP/1.1 404"));
 }
 
 prop_check!(
@@ -382,13 +383,7 @@ fn persistent_server_survives_many_scrapes_and_stops_cleanly() {
         max_head_bytes: 4096,
     };
 
-    let get = move |path: &str| -> String {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(conn, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
-        response
-    };
+    let get = |path: &str| http_get(addr, path);
 
     std::thread::scope(|s| {
         let server = s.spawn(|| serve_until(&listener, &mut m, &stop, opts));
@@ -481,13 +476,7 @@ fn trace_endpoint_serves_parseable_chrome_trace() {
 
     std::thread::scope(|s| {
         let server = s.spawn(|| serve_until(&listener, &mut m, &stop, opts));
-        let get = move |path: &str| -> String {
-            let mut conn = TcpStream::connect(addr).unwrap();
-            write!(conn, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-            let mut response = String::new();
-            conn.read_to_string(&mut response).unwrap();
-            response
-        };
+        let get = |path: &str| http_get(addr, path);
 
         let response = get("/trace");
         let (head, body) = response.split_once("\r\n\r\n").unwrap();
@@ -611,13 +600,7 @@ fn sharded_persistent_server_reports_shard_convergence() {
 
     std::thread::scope(|s| {
         let server = s.spawn(|| sharded.serve_metrics_until(&listener, &stop));
-        let get = move |path: &str| -> String {
-            let mut conn = TcpStream::connect(addr).unwrap();
-            write!(conn, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-            let mut response = String::new();
-            conn.read_to_string(&mut response).unwrap();
-            response
-        };
+        let get = |path: &str| http_get(addr, path);
         for _ in 0..10 {
             assert!(get("/metrics").starts_with("HTTP/1.1 200 OK"));
         }

@@ -6,14 +6,14 @@
 //!
 //! Also pins the verify-after-optimize invariant with a deliberately
 //! broken mock pass: optimizer output that fails re-verification is a
-//! hard compile-time error, never an installed body.
+//! hard install-time error, never an installed body.
 
 use rkd::core::bytecode::{Action, AluOp, CmpOp, Insn, Reg};
 use rkd::core::ctxt::FieldId;
 use rkd::core::error::VmError;
-use rkd::core::jit::CompiledAction;
 use rkd::core::opt::{
-    fuse_chain, optimize, BranchFold, ConstFold, DeadCode, GuardHoist, OptLevel, Pass, Specialize,
+    fuse_chain, optimize, optimize_reverified, optimize_reverified_with, BranchFold, ConstFold,
+    DeadCode, GuardHoist, OptLevel, Pass, Specialize,
 };
 use rkd::core::prog::ProgramBuilder;
 use rkd::core::table::{ActionId, Entry, MatchKey, MatchKind, Table, TableDef, TableId};
@@ -750,9 +750,10 @@ fn full_pipeline_golden() {
 }
 
 /// The verify-after-optimize invariant, pinned end to end through the
-/// JIT compile path: a deliberately broken pass whose output drops the
-/// terminator must surface as a hard `VmError::Verify` from
-/// `compile_optimized_with`, exactly what `install` would propagate.
+/// install path's one entry point: a deliberately broken pass whose
+/// output drops the terminator must surface as a hard
+/// `VmError::Verify` from `optimize_reverified_with`, exactly what
+/// `install` would propagate.
 #[test]
 fn broken_pass_is_a_hard_compile_error() {
     struct StripExit;
@@ -783,13 +784,13 @@ fn broken_pass_is_a_hard_compile_error() {
     b.table("t", "hook", &[pid], MatchKind::Exact, Some(act), 4);
     let prog = b.build();
 
-    let err = CompiledAction::compile_optimized_with(0, &action, &prog, &[&StripExit], 100)
+    let err = optimize_reverified_with(0, &action, &prog, &[&StripExit], 100)
         .expect_err("terminator-stripping pass must fail re-verification");
     assert!(
         matches!(err, VmError::Verify(_)),
         "expected VmError::Verify, got {err:?}"
     );
 
-    // The honest pipeline compiles the same action fine.
-    assert!(CompiledAction::compile_optimized(0, &action, &prog, OptLevel::O2, 100).is_ok());
+    // The honest pipeline admits the same action fine.
+    assert!(optimize_reverified(0, &action, &prog, OptLevel::O2, 100).is_ok());
 }
