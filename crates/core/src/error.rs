@@ -87,6 +87,14 @@ pub enum VerifyError {
         /// Model slot.
         model: u16,
     },
+    /// An ML model's stored structure is inconsistent (see
+    /// [`crate::prog::ModelSpec::validate`]).
+    MalformedModel {
+        /// Model slot.
+        model: u16,
+        /// What is wrong with it.
+        source: MlError,
+    },
     /// An ML model failed the admission cost check.
     ModelOverBudget {
         /// Model slot.
@@ -200,7 +208,8 @@ impl fmt::Display for VerifyError {
             VerifyError::BadGuard { model } => {
                 write!(f, "model {model}: malformed guard (fallback/confidence out of range)")
             }
-            VerifyError::ModelOverBudget { model, source } => {
+            VerifyError::MalformedModel { model, source }
+            | VerifyError::ModelOverBudget { model, source } => {
                 write!(f, "model {model}: {source}")
             }
             VerifyError::ModelArityMismatch {

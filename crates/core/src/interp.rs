@@ -210,13 +210,7 @@ pub fn run_action(
                 v.extend(snap.iter().take(MAX_VECTOR_LEN).map(|&x| Fix::from_int(x)));
             }
             Insn::VectorLdCtxt { dst, base, len } => {
-                let v = &mut vregs[vreg_idx(*dst)?];
-                v.clear();
-                for i in 0..*len {
-                    let f = crate::ctxt::FieldId(base.0 + i);
-                    let val = env.ctxt.get(f).ok_or(VmError::Fault("vector window"))?;
-                    v.push(Fix::from_int(val));
-                }
+                load_ctxt_window(env.ctxt, *base, *len, &mut vregs[vreg_idx(*dst)?])?;
             }
             Insn::VectorPush { dst, src } => {
                 let val = Fix::from_int(regs[reg_idx(*src)?]);
@@ -234,13 +228,7 @@ pub fn run_action(
                     .tensors
                     .get(tensor.0 as usize)
                     .ok_or(VmError::Fault("bad tensor"))?;
-                let input = &vregs[vreg_idx(*src)?];
-                if input.is_empty() {
-                    return Err(VmError::Fault("matmul on empty vector"));
-                }
-                let vin = Tensor::vector(input.clone());
-                let result = t.matvec(&vin).map_err(|_| VmError::Fault("matmul shape"))?;
-                vregs[vreg_idx(*dst)?] = result.as_slice().to_vec();
+                mat_mul(t, &mut vregs, vreg_idx(*src)?, vreg_idx(*dst)?)?;
             }
             Insn::VecMap { op, dst } => {
                 let v = &mut vregs[vreg_idx(*dst)?];
@@ -337,6 +325,49 @@ pub fn run_action(
             }
         }
     }
+}
+
+/// `RMT_VECTOR_LD` from the context: `v = ctxt[base..base + len]` as
+/// Q16.16, sized in one step. Out of line, like [`mat_mul`], so that the
+/// dispatch loop's frame and register allocation do not pay for
+/// instructions most actions never run.
+#[inline(never)]
+fn load_ctxt_window(
+    ctxt: &Ctxt,
+    base: crate::ctxt::FieldId,
+    len: u16,
+    v: &mut Vec<Fix>,
+) -> Result<(), VmError> {
+    let start = base.0 as usize;
+    let window = ctxt
+        .values()
+        .get(start..start + len as usize)
+        .ok_or(VmError::Fault("vector window"))?;
+    v.clear();
+    v.extend(window.iter().map(|&val| Fix::from_int(val)));
+    Ok(())
+}
+
+/// `RMT_MAT_MUL`: `vregs[dst] = t * vregs[src]`, reusing `dst`'s
+/// buffer.
+#[inline(never)]
+fn mat_mul(
+    t: &Tensor,
+    vregs: &mut [Vec<Fix>; NUM_VREGS as usize],
+    src: usize,
+    dst: usize,
+) -> Result<(), VmError> {
+    if vregs[src].is_empty() {
+        return Err(VmError::Fault("matmul on empty vector"));
+    }
+    // Moved out, not cloned, so that `dst` can be written while it is
+    // read (and may be the same register).
+    let input = std::mem::take(&mut vregs[src]);
+    let result = t.matvec_into(&input, &mut vregs[dst]);
+    if src != dst {
+        vregs[src] = input;
+    }
+    result.map_err(|_| VmError::Fault("matmul shape"))
 }
 
 #[inline]

@@ -32,7 +32,6 @@ use crate::opt::{
 use crate::prog::{ModelSpec, RmtProgram};
 use crate::table::{Entry, MatchKind, Table, TableId, TableStats};
 use crate::verifier::{verify_with, VerifiedProgram, VerifierConfig};
-use rkd_ml::cost::CostBudget;
 use rkd_testkit::rng::SeedableRng;
 use rkd_testkit::rng::StdRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -1908,7 +1907,8 @@ impl RmtMachine {
 
     /// Replaces an ML model at runtime (the periodic "quantize and push
     /// to the kernel" update). The replacement is re-verified: same
-    /// feature arity and within the slot's latency-class budget.
+    /// feature arity, structurally valid ([`ModelSpec::validate`]) and
+    /// within the slot's latency-class budget.
     pub fn update_model(
         &mut self,
         prog: ProgId,
@@ -1946,14 +1946,8 @@ impl RmtMachine {
                     def.spec.n_features()
                 )));
             }
-            CostBudget::for_class(def.latency_class)
-                .admit(&spec.cost())
-                .map_err(|source| {
-                    VmError::Verify(crate::error::VerifyError::ModelOverBudget {
-                        model: slot.0,
-                        source,
-                    })
-                })?;
+            crate::verifier::admit_model(slot.0, spec, def.latency_class)
+                .map_err(VmError::Verify)?;
         }
         for (slot, spec) in pushes {
             inst.prog.models[slot.0 as usize].spec = spec;

@@ -58,6 +58,23 @@ impl ModelSpec {
         }
     }
 
+    /// Checks the structural invariants inference relies on without
+    /// re-checking: quantized-MLP array lengths, layer chaining and
+    /// weight range; tree feature and label indices; an SVM that has
+    /// weights at all. O(model size). The verifier (install, restore)
+    /// and model hot-swap call it, so no malformed model reaches a hook
+    /// however it was built.
+    pub fn validate(&self) -> Result<(), MlError> {
+        match self {
+            ModelSpec::Tree(t) => t.validate(),
+            ModelSpec::Svm(s) if s.weights.is_empty() => {
+                Err(MlError::Malformed("svm has no weights"))
+            }
+            ModelSpec::Svm(_) => Ok(()),
+            ModelSpec::Qmlp(q) => q.validate(),
+        }
+    }
+
     /// Static inference cost, for verifier admission.
     pub fn cost(&self) -> ModelCost {
         match self {

@@ -24,8 +24,8 @@
 
 use crate::bytecode::{Action, Helper, Insn, MAX_VECTOR_LEN, NUM_REGS, NUM_VREGS};
 use crate::error::VerifyError;
-use crate::prog::{RateLimitCfg, RmtProgram};
-use rkd_ml::cost::CostBudget;
+use crate::prog::{ModelSpec, RateLimitCfg, RmtProgram};
+use rkd_ml::cost::{CostBudget, LatencyClass};
 use std::collections::{HashMap, HashSet};
 
 /// Limits and policies the verifier enforces.
@@ -719,17 +719,12 @@ fn check_dataflow(
     Ok(())
 }
 
-/// Pass 4: ML model admission against per-latency-class budgets, plus
-/// guard well-formedness (§3.3 model safety).
+/// Pass 4: ML model admission — structural validity, then the
+/// per-latency-class budgets, plus guard well-formedness (§3.3 model
+/// safety).
 fn check_models(prog: &RmtProgram) -> Result<(), VerifyError> {
     for (i, m) in prog.models.iter().enumerate() {
-        let budget = CostBudget::for_class(m.latency_class);
-        budget
-            .admit(&m.spec.cost())
-            .map_err(|source| VerifyError::ModelOverBudget {
-                model: i as u16,
-                source,
-            })?;
+        admit_model(i as u16, &m.spec, m.latency_class)?;
         if let Some(guard) = &m.guard {
             if !guard.well_formed() {
                 return Err(VerifyError::BadGuard { model: i as u16 });
@@ -737,6 +732,21 @@ fn check_models(prog: &RmtProgram) -> Result<(), VerifyError> {
         }
     }
     Ok(())
+}
+
+/// What a model must satisfy to occupy slot `model` of a program whose
+/// hook has latency class `class` — at install and at hot-swap alike:
+/// structurally valid, and within the class's cost budget.
+pub(crate) fn admit_model(
+    model: u16,
+    spec: &ModelSpec,
+    class: LatencyClass,
+) -> Result<(), VerifyError> {
+    spec.validate()
+        .map_err(|source| VerifyError::MalformedModel { model, source })?;
+    CostBudget::for_class(class)
+        .admit(&spec.cost())
+        .map_err(|source| VerifyError::ModelOverBudget { model, source })
 }
 
 /// Pass 4b: tail-call chain depth (cascade of models across tables).

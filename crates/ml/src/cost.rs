@@ -135,13 +135,13 @@ impl Costed for QuantMlp {
             macs: self.macs(),
             // One ReLU compare per hidden activation.
             compares: self
-                .layers
+                .layers()
                 .iter()
-                .take(self.layers.len().saturating_sub(1))
-                .map(|l| l.out_dim as u64)
+                .take(self.layers().len().saturating_sub(1))
+                .map(|l| l.out_dim() as u64)
                 .sum(),
             memory_bytes: self.memory_bytes(),
-            layers: self.layers.len() as u64,
+            layers: self.layers().len() as u64,
         }
     }
 }

@@ -31,6 +31,11 @@ pub enum MlError {
     },
     /// A hyperparameter was outside its valid range.
     InvalidHyperparameter(&'static str),
+    /// A model's stored structure is inconsistent (array lengths that
+    /// disagree with its dimensions, layers that do not chain, an index
+    /// or weight out of range) — what decoding and admission reject so
+    /// that inference never has to.
+    Malformed(&'static str),
     /// A model exceeded the admission budget computed by the verifier.
     OverBudget {
         /// The cost metric that was exceeded (e.g. "macs", "memory").
@@ -61,6 +66,7 @@ impl fmt::Display for MlError {
             MlError::InvalidHyperparameter(name) => {
                 write!(f, "invalid hyperparameter: {name}")
             }
+            MlError::Malformed(what) => write!(f, "malformed model: {what}"),
             MlError::OverBudget {
                 metric,
                 cost,
@@ -98,6 +104,9 @@ mod tests {
         assert!(MlError::InvalidHyperparameter("depth")
             .to_string()
             .contains("depth"));
+        assert!(MlError::Malformed("qmlp layer chaining")
+            .to_string()
+            .contains("layer chaining"));
         let e = MlError::InconsistentFeatures {
             expected: 2,
             got: 5,

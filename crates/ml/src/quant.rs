@@ -4,17 +4,42 @@
 //! floating point operations, with models periodically quantized and
 //! pushed to the kernel for inference." This module performs that
 //! quantization. An [`Mlp`] trained in `f64` becomes a [`QuantMlp`]
-//! whose weights are `b`-bit symmetric integers with a per-layer Q16.16
-//! scale; inference is entirely integer ([`Fix`]) arithmetic and is what
-//! the RMT VM's `CALL_ML` executes for "Quantized DNN" models.
+//! whose weights are `b`-bit symmetric integers with a per-column
+//! Q32.32 scale; inference is entirely integer ([`Fix`]) arithmetic and
+//! is what the RMT VM's `CALL_ML` executes for "Quantized DNN" models.
 //!
-//! The bit-width is configurable (4..=16) so the `ablation_quant` bench
+//! The bit-width is configurable (2..=16) so the `ablation_quant` bench
 //! can sweep accuracy-vs-width, reproducing the design discussion.
+//!
+//! Inference runs inside scheduler-grade hooks, so it is one
+//! allocation-free kernel ([`QuantMlp::predict`]): each layer hoists
+//! the per-column product `input * scale` out of the row loop and
+//! accumulates `(weight * product) >> 32` in `i64` when every product
+//! is below `2^47`, in `i128` otherwise. Both widths are exact — the
+//! result is bit for bit the three-factor product floored per term —
+//! and the inputs alone select between them. The shape invariants the
+//! kernel leans on are established when a model is constructed or
+//! decoded, never per call (DESIGN.md §15).
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::fixed::Fix;
 use crate::mlp::Mlp;
+use core::ops::{Add, Mul, Shr};
+use rkd_testkit::json::{FromJson, Json, JsonError, ToJson};
+
+/// Widest layer (inputs or outputs) a quantized MLP may have: the
+/// length of the RMT VM's vector registers, so no `CALL_ML` can feed
+/// more, and the size of the inference kernel's stack scratch.
+pub const MAX_WIDTH: usize = 256;
+
+/// Largest weight magnitude any admissible bit-width (`<= 16`) allows.
+const MAX_WEIGHT: u32 = (1 << 15) - 1;
+
+/// Column products below this magnitude take the `i64` kernel:
+/// `|w| < 2^15` and `|v * s| < 2^47` keep every `w * (v * s)` under
+/// `2^62`, and a row sums at most [`MAX_WIDTH`] terms of `2^30`.
+const NARROW_LIMIT: u64 = 1 << 47;
 
 /// A dense layer with `b`-bit integer weights and per-input-column
 /// (channel-wise) dequantization scales.
@@ -25,64 +50,246 @@ use crate::mlp::Mlp;
 /// single per-layer scale would quantize the small columns to zero.
 /// Scales are stored in Q32.32 so even very small folded weights keep
 /// relative precision, while all arithmetic stays integer.
+///
+/// Fields are private: [`QuantLayer::new`] (and with it JSON decoding)
+/// establishes the shape and weight-range invariants the inference
+/// kernel relies on, once, instead of every call re-checking them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuantLayer {
-    /// Quantized weights, `out_dim x in_dim`, row-major, in
-    /// `[-(2^(b-1)-1), 2^(b-1)-1]`.
-    pub weights: Vec<i32>,
-    /// Quantized biases (Q16.16, the activation scale).
-    pub biases: Vec<Fix>,
-    /// Per-input-column dequantization scales in Q32.32:
-    /// real weight = `weights[o][j] * col_scales_q32[j] / 2^32`.
-    pub col_scales_q32: Vec<i64>,
-    /// Input dimensionality.
-    pub in_dim: usize,
-    /// Output dimensionality.
-    pub out_dim: usize,
+    weights: Vec<i32>,
+    biases: Vec<Fix>,
+    col_scales_q32: Vec<i64>,
+    in_dim: usize,
+    out_dim: usize,
 }
 
 impl QuantLayer {
-    /// Integer forward pass:
-    /// `out[o] = sum_j w[o][j] * s[j] * x[j] + b[o]`.
+    /// Builds a layer from its parts: `weights` is `out_dim x in_dim`,
+    /// row-major; `biases` are Q16.16 (the activation scale);
+    /// `col_scales_q32[j]` is column `j`'s dequantization scale in
+    /// Q32.32, i.e. real weight = `weights[o][j] * col_scales_q32[j] /
+    /// 2^32`.
     ///
-    /// Each term is `int * Q32.32 * Q16.16 >> 32 = Q16.16`, accumulated
-    /// in `i128` so no intermediate saturation occurs.
-    pub fn forward(&self, x: &[Fix]) -> Vec<Fix> {
-        let mut out = Vec::with_capacity(self.out_dim);
-        for o in 0..self.out_dim {
-            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc: i128 = 0;
-            for ((w, v), s) in row.iter().zip(x.iter()).zip(self.col_scales_q32.iter()) {
-                acc += (*w as i128 * v.raw() as i128 * *s as i128) >> 32;
-            }
-            let clamped = if acc > i32::MAX as i128 {
-                Fix::MAX
-            } else if acc < i32::MIN as i128 {
-                Fix::MIN
-            } else {
-                Fix::from_raw(acc as i32)
-            };
-            out.push(clamped + self.biases[o]);
+    /// Returns [`MlError::Malformed`] unless both dimensions are in
+    /// `1..=MAX_WIDTH`, the three arrays have the lengths the
+    /// dimensions imply, and every weight fits 16 signed bits.
+    pub fn new(
+        weights: Vec<i32>,
+        biases: Vec<Fix>,
+        col_scales_q32: Vec<i64>,
+        in_dim: usize,
+        out_dim: usize,
+    ) -> Result<QuantLayer, MlError> {
+        let layer = QuantLayer {
+            weights,
+            biases,
+            col_scales_q32,
+            in_dim,
+            out_dim,
+        };
+        layer.validate(MAX_WEIGHT)?;
+        Ok(layer)
+    }
+
+    /// Shape, and every weight's magnitude at most `qmax`.
+    fn validate(&self, qmax: u32) -> Result<(), MlError> {
+        let dims = 1..=MAX_WIDTH;
+        if !dims.contains(&self.in_dim) || !dims.contains(&self.out_dim) {
+            return Err(MlError::Malformed("qmlp layer width"));
         }
-        out
+        if self.weights.len() != self.in_dim * self.out_dim {
+            return Err(MlError::Malformed("qmlp weights length"));
+        }
+        if self.biases.len() != self.out_dim {
+            return Err(MlError::Malformed("qmlp biases length"));
+        }
+        if self.col_scales_q32.len() != self.in_dim {
+            return Err(MlError::Malformed("qmlp column scales length"));
+        }
+        if self.weights.iter().any(|w| w.unsigned_abs() > qmax) {
+            return Err(MlError::Malformed("qmlp weight range"));
+        }
+        Ok(())
+    }
+
+    /// Quantized weights, `out_dim x in_dim`, row-major.
+    pub fn weights(&self) -> &[i32] {
+        &self.weights
+    }
+
+    /// Quantized biases (Q16.16).
+    pub fn biases(&self) -> &[Fix] {
+        &self.biases
+    }
+
+    /// Per-input-column dequantization scales (Q32.32).
+    pub fn col_scales_q32(&self) -> &[i64] {
+        &self.col_scales_q32
+    }
+
+    /// Input dimensionality.
+    pub fn in_dim(&self) -> usize {
+        self.in_dim
+    }
+
+    /// Output dimensionality.
+    pub fn out_dim(&self) -> usize {
+        self.out_dim
+    }
+
+    /// Integer forward pass:
+    /// `out[o] = sum_j (w[o][j] * s[j] * x[j] >> 32) + b[o]`,
+    /// each term `int * Q32.32 * Q16.16 >> 32 = Q16.16`, floored per
+    /// term and summed without intermediate saturation.
+    ///
+    /// Returns [`MlError::ShapeMismatch`] unless `x.len() == in_dim`.
+    pub fn forward(&self, x: &[Fix]) -> Result<Vec<Fix>, MlError> {
+        if x.len() != self.in_dim {
+            return Err(MlError::ShapeMismatch {
+                expected: self.in_dim,
+                got: x.len(),
+            });
+        }
+        let mut out = vec![Fix::ZERO; self.out_dim];
+        self.forward_into(x, &mut [0; MAX_WIDTH], &mut out);
+        Ok(out)
+    }
+
+    /// The kernel: `x.len() == in_dim`, `out.len() == out_dim`, and
+    /// `prods` is scratch whose contents do not matter.
+    ///
+    /// The column product `x[j] * s[j]` is shared by every output row,
+    /// so it is computed once per column. When all of them are below
+    /// [`NARROW_LIMIT`] the rows accumulate in `i64`; otherwise the
+    /// same loop runs at `i128`. Both are exact, so which one ran is
+    /// not observable in the result.
+    fn forward_into(&self, x: &[Fix], prods: &mut [i64; MAX_WIDTH], out: &mut [Fix]) {
+        let prods = &mut prods[..self.in_dim];
+        for ((p, v), s) in prods.iter_mut().zip(x).zip(&self.col_scales_q32) {
+            match i64::from(v.raw()).checked_mul(*s) {
+                Some(fits) if fits.unsigned_abs() < NARROW_LIMIT => *p = fits,
+                _ => return self.forward_into_wide(x, out),
+            }
+        }
+        accumulate(&self.weights, prods, &self.biases, out);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn forward_into_wide(&self, x: &[Fix], out: &mut [Fix]) {
+        let mut prods = [0i128; MAX_WIDTH];
+        let prods = &mut prods[..self.in_dim];
+        for ((p, v), s) in prods.iter_mut().zip(x).zip(&self.col_scales_q32) {
+            *p = i128::from(v.raw()) * i128::from(*s);
+        }
+        accumulate(&self.weights, prods, &self.biases, out);
+    }
+}
+
+/// `out[o] = saturate(sum_j (w[o][j] * prods[j]) >> 32) + biases[o]`
+/// over `prods.len()`-wide rows of `weights`, at accumulator width `T`.
+fn accumulate<T>(weights: &[i32], prods: &[T], biases: &[Fix], out: &mut [Fix])
+where
+    T: Copy
+        + From<i32>
+        + Mul<Output = T>
+        + Shr<u32, Output = T>
+        + Add<Output = T>
+        + PartialOrd
+        + TryInto<i32>,
+{
+    let zero = T::from(0);
+    let mut rows = weights;
+    for (bias, o) in biases.iter().zip(out) {
+        // Not `chunks_exact`: zipping it costs a division per call.
+        let (row, rest) = rows.split_at(prods.len());
+        rows = rest;
+        let mut acc = zero;
+        for (w, p) in row.iter().zip(prods) {
+            acc = acc + ((T::from(*w) * *p) >> 32);
+        }
+        let sum = match acc.try_into() {
+            Ok(raw) => Fix::from_raw(raw),
+            Err(_) if acc > zero => Fix::MAX,
+            Err(_) => Fix::MIN,
+        };
+        *o = sum + *bias;
+    }
+}
+
+/// One inference's working memory, on the caller's stack.
+struct Scratch {
+    /// Activations: a layer reads one half and writes the other.
+    acts: [[Fix; MAX_WIDTH]; 2],
+    /// The current layer's column products.
+    prods: [i64; MAX_WIDTH],
+}
+
+impl Scratch {
+    fn new() -> Scratch {
+        Scratch {
+            acts: [[Fix::ZERO; MAX_WIDTH]; 2],
+            prods: [0; MAX_WIDTH],
+        }
     }
 }
 
 /// A fully quantized MLP for kernel-side inference.
+///
+/// Only well-formed models exist: every constructor, and JSON
+/// decoding, ends in [`QuantMlp::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QuantMlp {
-    /// Layers in forward order; ReLU between all but the last.
-    pub layers: Vec<QuantLayer>,
-    /// The bit-width weights were quantized to.
-    pub bits: u32,
+    layers: Vec<QuantLayer>,
+    bits: u32,
     n_features: usize,
     n_classes: usize,
 }
 
 impl QuantMlp {
+    /// Assembles a model from layers in forward order (ReLU between
+    /// all but the last) whose weights were quantized to `bits` bits.
+    ///
+    /// Returns [`MlError::InvalidHyperparameter`] unless `2 <= bits <=
+    /// 16`, and [`MlError::Malformed`] if there is no layer, a layer's
+    /// input width is not its predecessor's output width, or a weight
+    /// lies outside `[-(2^(bits-1)-1), 2^(bits-1)-1]`.
+    pub fn new(layers: Vec<QuantLayer>, bits: u32) -> Result<QuantMlp, MlError> {
+        let model = QuantMlp {
+            n_features: layers.first().map_or(0, |l| l.in_dim),
+            n_classes: layers.last().map_or(0, |l| l.out_dim),
+            layers,
+            bits,
+        };
+        model.validate()?;
+        Ok(model)
+    }
+
+    /// Re-checks the invariants every constructor establishes (see
+    /// [`QuantMlp::new`]); model admission calls it so the datapath
+    /// does not depend on how a model value came to be.
+    pub fn validate(&self) -> Result<(), MlError> {
+        if !(2..=16).contains(&self.bits) {
+            return Err(MlError::InvalidHyperparameter("bits"));
+        }
+        let (Some(first), Some(last)) = (self.layers.first(), self.layers.last()) else {
+            return Err(MlError::Malformed("qmlp has no layers"));
+        };
+        if self.n_features != first.in_dim || self.n_classes != last.out_dim {
+            return Err(MlError::Malformed("qmlp declared shape"));
+        }
+        if self.layers.windows(2).any(|w| w[0].out_dim != w[1].in_dim) {
+            return Err(MlError::Malformed("qmlp layer chaining"));
+        }
+        let qmax = (1u32 << (self.bits - 1)) - 1;
+        self.layers.iter().try_for_each(|l| l.validate(qmax))
+    }
+
     /// Quantizes a trained float MLP to `bits`-bit weights.
     ///
-    /// Returns [`MlError::InvalidHyperparameter`] unless `2 <= bits <= 16`.
+    /// Returns [`MlError::InvalidHyperparameter`] unless `2 <= bits <=
+    /// 16`, and [`MlError::Malformed`] if a layer is wider than
+    /// [`MAX_WIDTH`].
     #[allow(clippy::needless_range_loop)] // Parallel-array indexing is clearer here.
     pub fn quantize(mlp: &Mlp, bits: u32) -> Result<QuantMlp, MlError> {
         if !(2..=16).contains(&bits) {
@@ -113,20 +320,15 @@ impl QuantMlp {
                 .map(|&s| (s * (1u64 << 32) as f64).round() as i64)
                 .collect();
             let biases = l.biases.iter().map(|&b| Fix::from_f64(b)).collect();
-            layers.push(QuantLayer {
+            layers.push(QuantLayer::new(
                 weights,
                 biases,
                 col_scales_q32,
-                in_dim: l.in_dim,
-                out_dim: l.out_dim,
-            });
+                l.in_dim,
+                l.out_dim,
+            )?);
         }
-        Ok(QuantMlp {
-            layers,
-            bits,
-            n_features: mlp.n_features(),
-            n_classes: mlp.n_classes(),
-        })
+        QuantMlp::new(layers, bits)
     }
 
     /// Creates a zero-weight placeholder with the given shape
@@ -137,48 +339,61 @@ impl QuantMlp {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics unless both dimensions are in `1..=MAX_WIDTH`.
     pub fn placeholder(n_features: usize, n_classes: usize) -> QuantMlp {
-        assert!(n_features > 0 && n_classes > 0, "placeholder shape");
-        QuantMlp {
-            layers: vec![QuantLayer {
-                weights: vec![0; n_features * n_classes],
-                biases: vec![Fix::ZERO; n_classes],
-                col_scales_q32: vec![0; n_features],
-                in_dim: n_features,
-                out_dim: n_classes,
-            }],
-            bits: 8,
+        QuantLayer::new(
+            vec![0; n_features * n_classes],
+            vec![Fix::ZERO; n_classes],
+            vec![0; n_features],
             n_features,
             n_classes,
-        }
+        )
+        .and_then(|layer| QuantMlp::new(vec![layer], 8))
+        .expect("placeholder shape")
     }
 
-    /// Integer-only forward pass returning pre-softmax logits.
-    ///
-    /// Returns [`MlError::ShapeMismatch`] on dimensionality mismatch.
-    pub fn logits(&self, features: &[Fix]) -> Result<Vec<Fix>, MlError> {
+    /// Runs every layer, ping-ponging activations between the two
+    /// halves of `scratch.acts`, and returns the logits (a slice of
+    /// one of them).
+    fn run<'a>(&self, features: &[Fix], scratch: &'a mut Scratch) -> Result<&'a [Fix], MlError> {
         if features.len() != self.n_features {
             return Err(MlError::ShapeMismatch {
                 expected: self.n_features,
                 got: features.len(),
             });
         }
-        let mut cur = features.to_vec();
-        for (i, layer) in self.layers.iter().enumerate() {
-            cur = layer.forward(&cur);
-            if i + 1 != self.layers.len() {
-                for v in &mut cur {
-                    *v = v.relu();
-                }
+        let Scratch { acts, prods } = scratch;
+        let [cur, next] = acts;
+        let (mut cur, mut next) = (cur, next);
+        let (first, rest) = self
+            .layers
+            .split_first()
+            .expect("validated: at least one layer");
+        first.forward_into(features, prods, &mut cur[..first.out_dim]);
+        let mut width = first.out_dim;
+        for layer in rest {
+            for v in &mut cur[..width] {
+                *v = v.relu();
             }
+            layer.forward_into(&cur[..width], prods, &mut next[..layer.out_dim]);
+            std::mem::swap(&mut cur, &mut next);
+            width = layer.out_dim;
         }
-        Ok(cur)
+        Ok(&cur[..width])
     }
 
-    /// Predicts the argmax class using integer arithmetic only.
+    /// Integer-only forward pass returning pre-softmax logits.
+    ///
+    /// Returns [`MlError::ShapeMismatch`] on dimensionality mismatch.
+    pub fn logits(&self, features: &[Fix]) -> Result<Vec<Fix>, MlError> {
+        Ok(self.run(features, &mut Scratch::new())?.to_vec())
+    }
+
+    /// Predicts the argmax class (the first, on ties) using integer
+    /// arithmetic only and no heap allocation.
     pub fn predict(&self, features: &[Fix]) -> Result<usize, MlError> {
-        let logits = self.logits(features)?;
+        let mut scratch = Scratch::new();
+        let logits = self.run(features, &mut scratch)?;
         let mut best = 0;
         for (i, v) in logits.iter().enumerate() {
             if *v > logits[best] {
@@ -200,6 +415,16 @@ impl QuantMlp {
             }
         }
         Ok(correct as f64 / data.len() as f64)
+    }
+
+    /// Layers in forward order; ReLU between all but the last.
+    pub fn layers(&self) -> &[QuantLayer] {
+        &self.layers
+    }
+
+    /// The bit-width weights were quantized to.
+    pub fn bits(&self) -> u32 {
+        self.bits
     }
 
     /// Feature dimensionality.
@@ -228,6 +453,62 @@ impl QuantMlp {
             .iter()
             .map(|l| (l.weights.len() * 4 + l.biases.len() * 4 + l.col_scales_q32.len() * 8) as u64)
             .sum()
+    }
+}
+
+impl ToJson for QuantLayer {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("weights".to_string(), self.weights.to_json()),
+            ("biases".to_string(), self.biases.to_json()),
+            ("col_scales_q32".to_string(), self.col_scales_q32.to_json()),
+            ("in_dim".to_string(), self.in_dim.to_json()),
+            ("out_dim".to_string(), self.out_dim.to_json()),
+        ])
+    }
+}
+
+/// Decodes field `name` of `json`.
+fn json_field<T: FromJson>(json: &Json, name: &str) -> Result<T, JsonError> {
+    T::from_json(json.field(name)?).map_err(|e| e.context(name))
+}
+
+impl FromJson for QuantLayer {
+    fn from_json(json: &Json) -> Result<QuantLayer, JsonError> {
+        QuantLayer::new(
+            json_field(json, "weights")?,
+            json_field(json, "biases")?,
+            json_field(json, "col_scales_q32")?,
+            json_field(json, "in_dim")?,
+            json_field(json, "out_dim")?,
+        )
+        .map_err(|e| JsonError::new(e.to_string()))
+    }
+}
+
+impl ToJson for QuantMlp {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("layers".to_string(), self.layers.to_json()),
+            ("bits".to_string(), self.bits.to_json()),
+            ("n_features".to_string(), self.n_features.to_json()),
+            ("n_classes".to_string(), self.n_classes.to_json()),
+        ])
+    }
+}
+
+impl FromJson for QuantMlp {
+    fn from_json(json: &Json) -> Result<QuantMlp, JsonError> {
+        let model = QuantMlp {
+            layers: json_field(json, "layers")?,
+            bits: json_field(json, "bits")?,
+            n_features: json_field(json, "n_features")?,
+            n_classes: json_field(json, "n_classes")?,
+        };
+        model
+            .validate()
+            .map_err(|e| JsonError::new(e.to_string()))?;
+        Ok(model)
     }
 }
 
@@ -292,8 +573,8 @@ mod tests {
         for bits in [2u32, 4, 8] {
             let q = QuantMlp::quantize(&mlp, bits).unwrap();
             let qmax = (1i32 << (bits - 1)) - 1;
-            for l in &q.layers {
-                assert!(l.weights.iter().all(|&w| w.abs() <= qmax));
+            for l in q.layers() {
+                assert!(l.weights().iter().all(|&w| w.abs() <= qmax));
             }
         }
     }
@@ -316,6 +597,125 @@ mod tests {
     }
 
     #[test]
+    fn both_accumulator_widths_compute_the_same_rows() {
+        // Products just inside the narrow limit, weights at the 16-bit
+        // edge, and one row that saturates each way.
+        let edge = (NARROW_LIMIT - 1) as i64;
+        let prods = [edge, -edge, 12_345, -1, 0, edge];
+        let w = MAX_WEIGHT as i32;
+        let weights = [
+            [w, -w, 7, -7, 1, w],
+            [w, w, w, w, w, -w],
+            [-w, w, 0, 0, 0, -w],
+            [w, -w, 0, 0, 0, w],
+            [1, 1, 1, 1, 1, 1],
+        ]
+        .concat();
+        let biases = [Fix::ONE, Fix::ZERO, Fix::MIN, Fix::MAX, Fix::from_int(-3)];
+        let wide_prods = prods.map(i128::from);
+        let (mut narrow, mut wide) = ([Fix::ZERO; 5], [Fix::ZERO; 5]);
+        accumulate(&weights, &prods, &biases, &mut narrow);
+        accumulate(&weights, &wide_prods, &biases, &mut wide);
+        assert_eq!(narrow, wide);
+        assert_eq!(narrow[2], Fix::MIN);
+        assert_eq!(narrow[3], Fix::MAX);
+    }
+
+    fn layer(in_dim: usize, out_dim: usize) -> QuantLayer {
+        QuantLayer::new(
+            vec![1; in_dim * out_dim],
+            vec![Fix::ZERO; out_dim],
+            vec![1 << 32; in_dim],
+            in_dim,
+            out_dim,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn constructors_reject_malformed_parts() {
+        let malformed = |r: Result<QuantLayer, MlError>| matches!(r, Err(MlError::Malformed(_)));
+        let (w, b, s) = (vec![0; 8], vec![Fix::ZERO; 2], vec![0; 4]);
+        assert!(QuantLayer::new(w.clone(), b.clone(), s.clone(), 4, 2).is_ok());
+        assert!(malformed(QuantLayer::new(
+            vec![],
+            b.clone(),
+            s.clone(),
+            4,
+            2
+        )));
+        assert!(malformed(QuantLayer::new(
+            w.clone(),
+            vec![],
+            s.clone(),
+            4,
+            2
+        )));
+        assert!(malformed(QuantLayer::new(
+            w.clone(),
+            b.clone(),
+            vec![0; 3],
+            4,
+            2
+        )));
+        assert!(malformed(QuantLayer::new(vec![], vec![], s.clone(), 4, 0)));
+        assert!(malformed(QuantLayer::new(vec![], b.clone(), vec![], 0, 2)));
+        let too_wide = MAX_WIDTH + 1;
+        assert!(malformed(QuantLayer::new(
+            vec![0; too_wide],
+            vec![Fix::ZERO],
+            vec![0; too_wide],
+            too_wide,
+            1
+        )));
+        let mut heavy = w.clone();
+        heavy[3] = 1 << 15;
+        assert!(malformed(QuantLayer::new(heavy, b, s, 4, 2)));
+
+        assert!(QuantMlp::new(vec![layer(3, 5), layer(5, 2)], 8).is_ok());
+        assert_eq!(
+            QuantMlp::new(vec![layer(3, 5), layer(4, 2)], 8),
+            Err(MlError::Malformed("qmlp layer chaining"))
+        );
+        assert_eq!(
+            QuantMlp::new(vec![], 8),
+            Err(MlError::Malformed("qmlp has no layers"))
+        );
+        assert!(QuantMlp::new(vec![layer(3, 2)], 17).is_err());
+        // Weight 3 needs 3 bits: 2-bit weights are -1..=1.
+        let l = QuantLayer::new(vec![3], vec![Fix::ZERO], vec![0], 1, 1).unwrap();
+        assert!(QuantMlp::new(vec![l.clone()], 3).is_ok());
+        assert_eq!(
+            QuantMlp::new(vec![l], 2),
+            Err(MlError::Malformed("qmlp weight range"))
+        );
+    }
+
+    #[test]
+    fn decoding_rejects_what_the_constructors_reject() {
+        let json = rkd_testkit::json::to_string(&QuantMlp::placeholder(4, 2));
+        assert!(rkd_testkit::json::from_str::<QuantMlp>(&json).is_ok());
+        for (from, to) in [
+            // The reproducer: decoded fine, then panicked on first use.
+            ("\"weights\":[0,0,0,0,0,0,0,0]", "\"weights\":[]"),
+            ("\"biases\":[0,0]", "\"biases\":[0]"),
+            ("\"col_scales_q32\":[0,0,0,0]", "\"col_scales_q32\":[0]"),
+            ("\"in_dim\":4", "\"in_dim\":0"),
+            ("\"n_features\":4", "\"n_features\":5"),
+            ("\"n_classes\":2", "\"n_classes\":3"),
+            ("\"bits\":8", "\"bits\":1"),
+            ("\"weights\":[0,", "\"weights\":[128,"),
+        ] {
+            assert!(json.contains(from), "{from} not in {json}");
+            let bad = json.replace(from, to);
+            assert!(
+                rkd_testkit::json::from_str::<QuantMlp>(&bad).is_err(),
+                "accepted {bad}"
+            );
+        }
+    }
+
+    #[test]
     fn logits_match_float_ordering_on_easy_points() {
         let (mlp, _) = trained_pair();
         let q = QuantMlp::quantize(&mlp, 10).unwrap();
@@ -324,50 +724,5 @@ mod tests {
             let qp = q.predict(&[Fix::from_f64(x0), Fix::from_f64(x1)]).unwrap();
             assert_eq!(fp, qp);
         }
-    }
-}
-
-rkd_testkit::impl_json_struct!(QuantLayer {
-    weights,
-    biases,
-    col_scales_q32,
-    in_dim,
-    out_dim
-});
-
-impl rkd_testkit::json::ToJson for QuantMlp {
-    fn to_json(&self) -> rkd_testkit::json::Json {
-        rkd_testkit::json::Json::Obj(vec![
-            (
-                "layers".to_string(),
-                rkd_testkit::json::ToJson::to_json(&self.layers),
-            ),
-            (
-                "bits".to_string(),
-                rkd_testkit::json::ToJson::to_json(&self.bits),
-            ),
-            (
-                "n_features".to_string(),
-                rkd_testkit::json::ToJson::to_json(&self.n_features),
-            ),
-            (
-                "n_classes".to_string(),
-                rkd_testkit::json::ToJson::to_json(&self.n_classes),
-            ),
-        ])
-    }
-}
-
-impl rkd_testkit::json::FromJson for QuantMlp {
-    fn from_json(json: &rkd_testkit::json::Json) -> Result<QuantMlp, rkd_testkit::json::JsonError> {
-        Ok(QuantMlp {
-            layers: Vec::<QuantLayer>::from_json(json.field("layers")?)
-                .map_err(|e| e.context("layers"))?,
-            bits: u32::from_json(json.field("bits")?).map_err(|e| e.context("bits"))?,
-            n_features: usize::from_json(json.field("n_features")?)
-                .map_err(|e| e.context("n_features"))?,
-            n_classes: usize::from_json(json.field("n_classes")?)
-                .map_err(|e| e.context("n_classes"))?,
-        })
     }
 }

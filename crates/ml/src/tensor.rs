@@ -169,26 +169,40 @@ impl Tensor {
     }
 
     /// Matrix-vector product: `self (r x c) * v (c)` producing a length-`r`
-    /// row vector. This is the workhorse of `RMT_MAT_MUL`.
+    /// row vector.
     pub fn matvec(&self, v: &Tensor) -> Result<Tensor, MlError> {
-        if v.rows != 1 || v.cols != self.cols {
+        if v.rows != 1 {
             return Err(MlError::ShapeMismatch {
                 expected: self.cols,
                 got: v.len(),
             });
         }
         let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
+        self.matvec_into(&v.data, &mut out)?;
+        Ok(Tensor::vector(out))
+    }
+
+    /// [`Tensor::matvec`] over a plain slice, replacing the contents of
+    /// a caller-owned buffer. This is the workhorse of `RMT_MAT_MUL`,
+    /// which keeps its vector registers across instructions.
+    pub fn matvec_into(&self, v: &[Fix], out: &mut Vec<Fix>) -> Result<(), MlError> {
+        if v.len() != self.cols {
+            return Err(MlError::ShapeMismatch {
+                expected: self.cols,
+                got: v.len(),
+            });
+        }
+        out.clear();
+        out.extend(self.data.chunks_exact(self.cols).map(|row| {
             // Accumulate in i64 to avoid intermediate saturation: the
             // sum of Q16.16 products fits comfortably in Q48.16.
             let mut acc: i64 = 0;
-            for (a, b) in row.iter().zip(v.data.iter()) {
+            for (a, b) in row.iter().zip(v) {
                 acc += (a.raw() as i64 * b.raw() as i64) >> crate::fixed::FRAC_BITS;
             }
-            out.push(clamp_i64(acc));
-        }
-        Ok(Tensor::vector(out))
+            clamp_i64(acc)
+        }));
+        Ok(())
     }
 
     /// Matrix-matrix product `self (m x k) * rhs (k x n)`.

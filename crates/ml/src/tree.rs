@@ -218,6 +218,38 @@ impl DecisionTree {
         Ok(correct as f64 / data.len() as f64)
     }
 
+    /// Checks the indices prediction follows without looking: every
+    /// split tests a feature below `n_features`, every leaf's label is
+    /// below `n_classes` and has a slot in the leaf's own histogram.
+    /// Trained trees satisfy it; JSON decoding and model admission
+    /// call it so a hand-edited one is refused instead of panicking
+    /// the datapath.
+    pub fn validate(&self) -> Result<(), MlError> {
+        fn walk(n: &Node, n_features: usize, n_classes: usize) -> Result<(), MlError> {
+            match n {
+                Node::Leaf { label, counts } => {
+                    if *label >= n_classes || *label >= counts.len() {
+                        return Err(MlError::Malformed("tree leaf label"));
+                    }
+                    Ok(())
+                }
+                Node::Split {
+                    feature,
+                    left,
+                    right,
+                    ..
+                } => {
+                    if *feature >= n_features {
+                        return Err(MlError::Malformed("tree split feature"));
+                    }
+                    walk(left, n_features, n_classes)?;
+                    walk(right, n_features, n_classes)
+                }
+            }
+        }
+        walk(&self.root, self.n_features, self.n_classes)
+    }
+
     /// Root node (read-only; used by distillation and feature ranking).
     pub fn root(&self) -> &Node {
         &self.root
@@ -896,6 +928,27 @@ mod tests {
     }
 
     #[test]
+    fn decoding_rejects_out_of_range_indices() {
+        use rkd_testkit::json::{from_str, to_string};
+        let tree = DecisionTree::train(&xor_dataset(), &TreeConfig::default()).unwrap();
+        assert_eq!(tree.validate(), Ok(()));
+        let json = to_string(&tree);
+        assert_eq!(from_str::<DecisionTree>(&json).unwrap(), tree);
+        // Each of these decoded before and then indexed out of bounds
+        // in `predict_with_confidence`.
+        for (from, to) in [
+            ("\"feature\":0", "\"feature\":2"),
+            ("\"label\":1", "\"label\":2"),
+            ("\"n_features\":2", "\"n_features\":1"),
+            ("\"n_classes\":2", "\"n_classes\":1"),
+        ] {
+            assert!(json.contains(from), "{from} not in {json}");
+            let bad = json.replacen(from, to, 1);
+            assert!(from_str::<DecisionTree>(&bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
     fn deeper_trees_never_increase_training_error() {
         let ds = xor_dataset();
         let mut prev = 0.0;
@@ -948,12 +1001,15 @@ impl rkd_testkit::json::FromJson for DecisionTree {
     fn from_json(
         json: &rkd_testkit::json::Json,
     ) -> Result<DecisionTree, rkd_testkit::json::JsonError> {
-        Ok(DecisionTree {
+        let tree = DecisionTree {
             root: Node::from_json(json.field("root")?).map_err(|e| e.context("root"))?,
             n_features: usize::from_json(json.field("n_features")?)
                 .map_err(|e| e.context("n_features"))?,
             n_classes: usize::from_json(json.field("n_classes")?)
                 .map_err(|e| e.context("n_classes"))?,
-        })
+        };
+        tree.validate()
+            .map_err(|e| rkd_testkit::json::JsonError::new(e.to_string()))?;
+        Ok(tree)
     }
 }

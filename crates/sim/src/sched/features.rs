@@ -10,7 +10,7 @@
 /// Number of features.
 pub const N_FEATURES: usize = 15;
 
-/// Feature names, index-aligned with [`MigrationFeatures::to_vec`].
+/// Feature names, index-aligned with [`MigrationFeatures::to_array`].
 pub const FEATURE_NAMES: [&str; N_FEATURES] = [
     "src_nr_running",
     "dst_nr_running",
@@ -69,9 +69,9 @@ pub struct MigrationFeatures {
 }
 
 impl MigrationFeatures {
-    /// Flattens into the canonical 15-element vector.
-    pub fn to_vec(&self) -> Vec<i64> {
-        vec![
+    /// Flattens into the canonical 15-element vector, on the stack.
+    pub fn to_array(&self) -> [i64; N_FEATURES] {
+        [
             self.src_nr_running,
             self.dst_nr_running,
             self.src_load,
@@ -90,13 +90,18 @@ impl MigrationFeatures {
         ]
     }
 
+    /// [`MigrationFeatures::to_array`] as a `Vec`.
+    pub fn to_vec(&self) -> Vec<i64> {
+        self.to_array().to_vec()
+    }
+
     /// Projects onto a subset of feature indices (lean monitoring).
     ///
     /// # Panics
     ///
     /// Panics if any index is out of range.
     pub fn project(&self, indices: &[usize]) -> Vec<i64> {
-        let all = self.to_vec();
+        let all = self.to_array();
         indices.iter().map(|&i| all[i]).collect()
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::sched::features::{MigrationFeatures, N_FEATURES};
 use rkd_core::bytecode::{Action, Insn, ModelSlot, VReg};
-use rkd_core::ctxt::Ctxt;
+use rkd_core::ctxt::{Ctxt, FieldId};
 use rkd_core::machine::{ExecMode, ProgId, RmtMachine};
 use rkd_core::prog::{ModelSpec, ProgramBuilder};
 use rkd_core::table::MatchKind;
@@ -142,6 +142,9 @@ pub struct MlPolicy {
     pub prog: ProgId,
     slot: ModelSlot,
     selected: Vec<usize>,
+    /// The hook's context, one field per selected feature, overwritten
+    /// in place by every query.
+    ctxt: Ctxt,
     overhead_ns: u64,
     queries: u64,
     aborted_fallbacks: u64,
@@ -209,6 +212,7 @@ impl MlPolicy {
             machine,
             prog,
             slot,
+            ctxt: Ctxt::from_values(vec![0; selected.len()]),
             selected,
             overhead_ns,
             queries: 0,
@@ -256,8 +260,11 @@ impl MigrationPolicy for MlPolicy {
     fn can_migrate(&mut self, f: &MigrationFeatures) -> bool {
         self.queries += 1;
         self.machine.advance_tick(1);
-        let mut ctxt = Ctxt::from_values(f.project(&self.selected));
-        let r = self.machine.fire("can_migrate_task", &mut ctxt);
+        let all = f.to_array();
+        for (field, &i) in self.selected.iter().enumerate() {
+            self.ctxt.set(FieldId(field as u16), all[i]);
+        }
+        let r = self.machine.fire("can_migrate_task", &mut self.ctxt);
         match r.verdict() {
             Some(v) => v == 1,
             None => {

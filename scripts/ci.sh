@@ -95,6 +95,14 @@ if ! grep -q 'speedup_gate page_cache_512.*PASS' /tmp/rkd_bench_train.out; then
     exit 1
 fi
 
+echo "==> bench_inference smoke (hoisted-scale i64 QMLP kernel gate)"
+RKD_BENCH_WARMUP_MS=5 RKD_BENCH_MEASURE_MS=20 RKD_BENCH_SAMPLES=5 \
+    cargo bench --offline -q -p rkd-bench --bench bench_inference | tee /tmp/rkd_bench_inference.out
+if ! grep -q 'speedup_gate qmlp_predict.*PASS' /tmp/rkd_bench_inference.out; then
+    echo "ERROR: QMLP inference gate failed (< 1.4x over the three-factor i128 reference on 15-16-16-2)" >&2
+    exit 1
+fi
+
 echo "==> bench_parallel smoke (sharded scaling gate + BENCH_parallel.json)"
 RKD_BENCH_PARALLEL_JSON="$PWD/BENCH_parallel.json" \
     cargo bench --offline -q -p rkd-bench --bench bench_parallel | tee /tmp/rkd_bench_parallel.out

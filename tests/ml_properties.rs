@@ -6,9 +6,10 @@
 use rkd::core::maps::{MapDef, MapInstance, MapKind};
 use rkd::ml::dataset::{Dataset, Sample};
 use rkd::ml::fixed::Fix;
+use rkd::ml::quant::{QuantLayer, QuantMlp};
 use rkd::ml::tensor::Tensor;
 use rkd::ml::tree::{DecisionTree, TreeConfig};
-use rkd::testkit::prop::Gen;
+use rkd::testkit::prop::{check, Config, Gen};
 use rkd::testkit::prop_check;
 use rkd::testkit::rng::Rng;
 use std::collections::HashMap;
@@ -284,3 +285,166 @@ prop_check!(ring_buffer_matches_model, cases = 512, |g| {
         .collect();
     assert_eq!(real.ring_snapshot(), expect);
 });
+
+/// `QuantLayer::forward` as it was before the hoisted-scale kernel: a
+/// three-factor `i128` product per MAC. Kept here as the oracle.
+fn oracle_forward(l: &QuantLayer, x: &[Fix]) -> Vec<Fix> {
+    l.weights()
+        .chunks_exact(l.in_dim())
+        .zip(l.biases())
+        .map(|(row, bias)| {
+            let mut acc: i128 = 0;
+            for ((w, v), s) in row.iter().zip(x).zip(l.col_scales_q32()) {
+                acc += (*w as i128 * v.raw() as i128 * *s as i128) >> 32;
+            }
+            let clamped = if acc > i32::MAX as i128 {
+                Fix::MAX
+            } else if acc < i32::MIN as i128 {
+                Fix::MIN
+            } else {
+                Fix::from_raw(acc as i32)
+            };
+            clamped + *bias
+        })
+        .collect()
+}
+
+/// Whether every column product of `l` on `x` is below 2^47, i.e.
+/// whether the kernel may accumulate this layer in `i64`.
+fn fits_narrow(l: &QuantLayer, x: &[Fix]) -> bool {
+    x.iter()
+        .zip(l.col_scales_q32())
+        .all(|(v, s)| fits_narrow_col(*v, *s))
+}
+
+fn fits_narrow_col(v: Fix, s: i64) -> bool {
+    (v.raw() as i128 * s as i128).unsigned_abs() < 1 << 47
+}
+
+fn gen_edgy_fix(g: &mut Gen) -> Fix {
+    match g.gen_range(0u8..8) {
+        0 => Fix::MIN,
+        1 => Fix::MAX,
+        2 => Fix::ZERO,
+        3 => Fix::from_raw(g.gen_range(-3i32..=3)),
+        4 | 5 => Fix::from_raw(g.gen::<i32>()),
+        _ => gen_fix(g),
+    }
+}
+
+/// Scales from dead (0) through what `quantize` produces to far beyond
+/// it; `hot` columns are large enough that any input of magnitude one
+/// or more forces the `i128` path.
+fn gen_scale(g: &mut Gen, hot: bool) -> i64 {
+    let magnitude = if hot {
+        g.gen_range(1i64 << 32..=i64::MAX)
+    } else {
+        match g.gen_range(0u8..4) {
+            0 => 0,
+            1 => g.gen_range(0..1i64 << 16), // Narrow whatever the input.
+            // What `quantize` produces: narrow on calm inputs.
+            _ => g.gen_range(0..1i64 << 26),
+        }
+    };
+    if g.gen_bool(0.5) {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
+fn gen_layer(g: &mut Gen, in_dim: usize, out_dim: usize, bits: u32) -> QuantLayer {
+    let qmax = (1i32 << (bits - 1)) - 1;
+    // Hot columns are rare, so that most layers have none and most of
+    // the rest have them on some columns only.
+    let any_hot = g.gen_bool(0.4);
+    QuantLayer::new(
+        (0..in_dim * out_dim)
+            .map(|_| match g.gen_range(0u8..8) {
+                0 => qmax,
+                1 => -qmax,
+                _ => g.gen_range(-qmax..=qmax),
+            })
+            .collect(),
+        (0..out_dim).map(|_| gen_edgy_fix(g)).collect(),
+        (0..in_dim)
+            .map(|_| {
+                let hot = any_hot && g.gen_bool(0.15);
+                gen_scale(g, hot)
+            })
+            .collect(),
+        in_dim,
+        out_dim,
+    )
+    .expect("generated layer is well-formed")
+}
+
+/// The kernel is bit-exact against the oracle on every layer, logit and
+/// prediction, on both accumulator widths, and across a JSON round
+/// trip.
+#[test]
+fn qmlp_kernel_matches_three_factor_oracle() {
+    let (mut narrow, mut wide, mut mixed) = (0u32, 0u32, 0u32);
+    check(
+        "qmlp_kernel_matches_three_factor_oracle",
+        Config {
+            cases: 600,
+            ..Default::default()
+        },
+        |g| {
+            let bits = g.gen_range(2u32..=16);
+            let dims: Vec<usize> = (0..g.gen_range(2usize..=4))
+                .map(|_| g.scaled_len(1, 64))
+                .collect();
+            let layers: Vec<QuantLayer> = dims
+                .windows(2)
+                .map(|d| gen_layer(g, d[0], d[1], bits))
+                .collect();
+            let q = QuantMlp::new(layers, bits).expect("generated model is well-formed");
+            let back: QuantMlp = rkd::testkit::json::from_str(&rkd::testkit::json::to_string(&q))
+                .expect("a well-formed model round-trips");
+            assert_eq!(back, q);
+
+            for _ in 0..3 {
+                let calm = g.gen_bool(0.5);
+                let x: Vec<Fix> = (0..dims[0])
+                    .map(|_| if calm { gen_fix(g) } else { gen_edgy_fix(g) })
+                    .collect();
+                let mut cur = x.clone();
+                for (i, l) in q.layers().iter().enumerate() {
+                    if fits_narrow(l, &cur) {
+                        narrow += 1;
+                    } else {
+                        wide += 1;
+                        // Wide because of some columns, not all.
+                        let scales = l.col_scales_q32();
+                        if cur.iter().zip(scales).any(|(v, s)| fits_narrow_col(*v, *s)) {
+                            mixed += 1;
+                        }
+                    }
+                    let expect = oracle_forward(l, &cur);
+                    assert_eq!(l.forward(&cur).unwrap(), expect, "layer {i}");
+                    cur = expect;
+                    if i + 1 != q.layers().len() {
+                        cur.iter_mut().for_each(|v| *v = v.relu());
+                    }
+                }
+                assert_eq!(q.logits(&x).unwrap(), cur);
+                // First maximum wins ties.
+                let best = cur.iter().position(|v| *v == *cur.iter().max().unwrap());
+                assert_eq!(q.predict(&x).unwrap(), best.unwrap());
+                assert_eq!(back.predict(&x).unwrap(), best.unwrap());
+            }
+            let short = vec![Fix::ZERO; dims[0] - 1];
+            assert!(q.predict(&short).is_err() && q.logits(&short).is_err());
+            assert!(q.layers()[0].forward(&short).is_err());
+        },
+    );
+    // A replayed single case may meet one width only.
+    if std::env::var_os("RKD_PROP_SEED").is_none() {
+        assert!(
+            narrow >= 500 && wide >= 500 && mixed >= 250,
+            "both widths must be exercised: narrow {narrow}, wide {wide}, mixed {mixed}"
+        );
+    }
+}
