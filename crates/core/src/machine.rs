@@ -332,11 +332,6 @@ struct FusedAction {
 /// One installed program with its runtime state.
 struct Installed {
     prog: RmtProgram,
-    /// hook name -> this program's table indices at that hook, in
-    /// declaration order. Precomputed at install so `fire` does not
-    /// re-scan (and re-compare hook strings of) every table per
-    /// firing.
-    hook_tables: HashMap<String, Vec<usize>>,
     worst_case: Vec<u64>,
     /// Stored for [`ProgramState::mode`] only; see [`ExecMode`].
     mode: ExecMode,
@@ -374,9 +369,11 @@ struct Installed {
 /// this hook's observability state (stored here so the hot path pays a
 /// single hash lookup for both).
 struct HookSlot {
-    /// (program, first table of the program at this hook), in
-    /// installation order.
-    listeners: Vec<(u32, TableId)>,
+    /// (program, its table pipeline at this hook: the indices of its
+    /// tables registered here, in declaration order), in installation
+    /// order. Resolved at install so a firing neither hashes the hook
+    /// name again nor re-scans the program's tables.
+    listeners: Vec<(u32, Vec<usize>)>,
     /// Armed firings of this hook since the last obs reset.
     fires: u64,
     /// Whole-fire latency histogram (ns).
@@ -418,11 +415,6 @@ pub struct RmtMachine {
     /// their consumed fields without allocating (the key is cloned
     /// only when a miss inserts a new cache entry).
     key_scratch: Vec<u64>,
-    /// Reusable copy of a hook's table pipeline, letting
-    /// [`RmtMachine::fire_batch`] resolve the single-listener pipeline
-    /// once and hold it across the whole batch while the program
-    /// instance is mutably borrowed.
-    pipeline_scratch: Vec<usize>,
     /// Table generation: bumped on every control-plane table/model
     /// mutation; cached decisions recorded under an older generation
     /// are stale and never replayed.
@@ -467,26 +459,6 @@ struct CacheRun {
     diverged: bool,
 }
 
-/// Whose pipelines one firing walks (see [`RmtMachine::fire_in_slot`]).
-enum Listeners<'a> {
-    /// Every listener of the hook slot, each program instance and its
-    /// table pipeline resolved per firing.
-    Slot {
-        programs: &'a mut BTreeMap<u32, Installed>,
-        pipeline_scratch: &'a mut Vec<usize>,
-        hook: &'a str,
-    },
-    /// The hook's single listener, its program instance and table
-    /// pipeline already resolved — [`RmtMachine::fire_batch`]'s fast
-    /// path hoists the program B-tree walk and the hook→tables hash
-    /// probe out of its per-context loop.
-    Prepared {
-        inst: &'a mut Installed,
-        pid: u32,
-        pipeline: &'a [usize],
-    },
-}
-
 impl RmtMachine {
     /// Creates an empty machine at tick 0 with default observability.
     pub fn new() -> RmtMachine {
@@ -504,7 +476,6 @@ impl RmtMachine {
             obs: Obs::new(cfg),
             scratch_queue: Vec::new(),
             key_scratch: Vec::new(),
-            pipeline_scratch: Vec::new(),
             table_gen: 0,
             decision_cache_cap: DEFAULT_DECISION_CACHE_CAP,
         }
@@ -581,27 +552,21 @@ impl RmtMachine {
         let ledger = PrivacyLedger::new(prog.privacy.budget_milli_eps);
         let id = self.next_id;
         self.next_id += 1;
-        // Index this program's tables by hook, preserving table order.
-        let mut seen_hooks: Vec<&str> = Vec::new();
+        // Register one listener per hook this program has tables at,
+        // in first-appearance order, each with its table pipeline.
+        let mut hook_names: Vec<String> = Vec::new();
         for t in &prog.tables {
-            if !seen_hooks.contains(&t.hook.as_str()) {
-                seen_hooks.push(&t.hook);
+            if !hook_names.contains(&t.hook) {
+                hook_names.push(t.hook.clone());
             }
         }
-        let mut hook_tables: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, t) in prog.tables.iter().enumerate() {
-            hook_tables.entry(t.hook.clone()).or_default().push(i);
-        }
-        let hook_names: Vec<String> = seen_hooks.iter().map(|h| h.to_string()).collect();
         let n_models = prog.models.len();
-        for hook in seen_hooks {
-            let first = prog
-                .tables
-                .iter()
-                .position(|t| t.hook == hook)
-                .expect("hook came from tables");
+        for hook in &hook_names {
+            let pipeline = (0..prog.tables.len())
+                .filter(|&i| prog.tables[i].hook == *hook)
+                .collect();
             self.hook_index
-                .entry(hook.to_string())
+                .entry(hook.clone())
                 .or_insert_with(|| HookSlot {
                     listeners: Vec::new(),
                     fires: 0,
@@ -612,13 +577,12 @@ impl RmtMachine {
                     cache: DecisionCache::default(),
                 })
                 .listeners
-                .push((id, TableId(first as u16)));
+                .push((id, pipeline));
         }
         self.programs.insert(
             id,
             Installed {
                 prog,
-                hook_tables,
                 worst_case,
                 mode,
                 tables,
@@ -975,14 +939,11 @@ impl RmtMachine {
         let mut consumed: Vec<FieldId> = Vec::new();
         let mut nonempty = 0usize;
         let mut non_exact = false;
-        for &(pid, _) in &slot.listeners {
-            let Some(inst) = self.programs.get(&pid) else {
+        for (pid, pipeline) in &slot.listeners {
+            let Some(inst) = self.programs.get(pid) else {
                 continue;
             };
-            let Some(tis) = inst.hook_tables.get(hook) else {
-                continue;
-            };
-            for &ti in tis {
+            for &ti in pipeline {
                 let t = &inst.tables[ti];
                 if t.is_empty() {
                     continue;
@@ -1007,8 +968,8 @@ impl RmtMachine {
         // consumed fields. Empty tables memoize key-independent steps
         // and keep their cheap is-still-empty validation.
         let mut key_stable = true;
-        for &(pid, _) in &slot.listeners {
-            let Some(inst) = self.programs.get(&pid) else {
+        for (pid, _) in &slot.listeners {
+            let Some(inst) = self.programs.get(pid) else {
                 continue;
             };
             if inst.ctxt_writes.iter().any(|f| consumed.contains(f)) {
@@ -1063,11 +1024,7 @@ impl RmtMachine {
             return HookResult::default();
         };
         let result = Self::fire_in_slot(
-            Listeners::Slot {
-                programs: &mut self.programs,
-                pipeline_scratch: &mut self.pipeline_scratch,
-                hook,
-            },
+            &mut self.programs,
             &mut self.obs,
             &mut self.scratch_queue,
             &mut self.key_scratch,
@@ -1108,60 +1065,19 @@ impl RmtMachine {
             return results;
         };
         let fires_before = self.obs.counters.fires;
-        // Single-listener fast path (the common shape: one program
-        // per hook): resolve the program instance and its table
-        // pipeline once, then run key-extraction → cache probe →
-        // action execution per context without re-walking the program
-        // B-tree or re-hashing the hook name each firing.
-        let single = match slot.listeners.as_slice() {
-            &[(pid, _)] => self
-                .programs
-                .get_mut(&pid)
-                .filter(|inst| inst.hook_tables.contains_key(hook))
-                .map(|inst| (pid, inst)),
-            _ => None,
-        };
-        if let Some((pid, inst)) = single {
-            self.pipeline_scratch.clear();
-            self.pipeline_scratch
-                .extend_from_slice(&inst.hook_tables[hook]);
-            for ctxt in ctxts.iter_mut() {
-                results.push(Self::fire_in_slot(
-                    Listeners::Prepared {
-                        inst: &mut *inst,
-                        pid,
-                        pipeline: &self.pipeline_scratch,
-                    },
-                    &mut self.obs,
-                    &mut self.scratch_queue,
-                    &mut self.key_scratch,
-                    self.tick,
-                    self.table_gen,
-                    self.decision_cache_cap,
-                    sample_mask,
-                    slot,
-                    ctxt,
-                ));
-            }
-        } else {
-            for ctxt in ctxts.iter_mut() {
-                results.push(Self::fire_in_slot(
-                    Listeners::Slot {
-                        programs: &mut self.programs,
-                        pipeline_scratch: &mut self.pipeline_scratch,
-                        hook,
-                    },
-                    &mut self.obs,
-                    &mut self.scratch_queue,
-                    &mut self.key_scratch,
-                    self.tick,
-                    self.table_gen,
-                    self.decision_cache_cap,
-                    sample_mask,
-                    slot,
-                    ctxt,
-                ));
-            }
+        for ctxt in ctxts.iter_mut() {
+            results.push(Self::fire_in_slot(
+                &mut self.programs,
+                &mut self.obs,
+                &mut self.scratch_queue,
+                &mut self.key_scratch,
+                self.tick,
+                self.table_gen,
+                self.decision_cache_cap,
+                sample_mask,
+                slot,
+                ctxt,
+            ));
         }
         if self
             .obs
@@ -1210,12 +1126,10 @@ impl RmtMachine {
         }
     }
 
-    /// One firing of an armed hook: the frame every firing shares —
-    /// latency-sampling decision, `Fire` span, decision-cache probe and
-    /// publish (each under its own span), whole-fire histogram — around
-    /// the listener walk `listeners` selects. Owning the frame once is
-    /// what keeps a span or counter added to the scalar path from being
-    /// forgotten on the batch fast path. Takes the machine's fields as
+    /// One firing of an armed hook: latency-sampling decision, `Fire`
+    /// span, decision-cache probe and publish (each under its own
+    /// span), whole-fire histogram, around the walk over every
+    /// listener's pipeline. Takes the machine's fields as
     /// disjoint borrows (the hook slot is a live `&mut` into
     /// `hook_index`, so `&mut self` is unavailable) — which is what
     /// lets [`RmtMachine::fire_batch`] hold the slot across a whole
@@ -1223,7 +1137,7 @@ impl RmtMachine {
     /// the whole machine.
     #[allow(clippy::too_many_arguments)]
     fn fire_in_slot(
-        listeners: Listeners<'_>,
+        programs: &mut BTreeMap<u32, Installed>,
         obs: &mut Obs,
         scratch_queue: &mut Vec<usize>,
         key_scratch: &mut Vec<u64>,
@@ -1253,10 +1167,14 @@ impl RmtMachine {
         }
         let span_ids = fire_span.map(|f| (f.trace_id, f.span_id));
         let key_stable = slot.key_stable;
-        let mut walk = |inst: &mut Installed, pid: u32, pipeline: &[usize]| {
+        for (pid, pipeline) in &slot.listeners {
+            let Some(inst) = programs.get_mut(pid) else {
+                continue;
+            };
+            inst.stats.invocations += 1;
             Self::run_pipeline(
                 inst,
-                pid,
+                *pid,
                 pipeline,
                 key_stable,
                 &mut cache,
@@ -1269,38 +1187,7 @@ impl RmtMachine {
                 span_ids,
                 ctxt,
                 &mut result,
-            )
-        };
-        match listeners {
-            Listeners::Slot {
-                programs,
-                pipeline_scratch,
-                hook,
-            } => {
-                for &(pid, _first_table) in &slot.listeners {
-                    let Some(inst) = programs.get_mut(&pid) else {
-                        continue;
-                    };
-                    inst.stats.invocations += 1;
-                    // Pipeline: all of this program's tables registered
-                    // at this hook, in declaration order; a tail call
-                    // redirects and then ends the pipeline.
-                    let Some(hook_tables) = inst.hook_tables.get(hook) else {
-                        continue;
-                    };
-                    pipeline_scratch.clear();
-                    pipeline_scratch.extend_from_slice(hook_tables);
-                    walk(inst, pid, pipeline_scratch);
-                }
-            }
-            Listeners::Prepared {
-                inst,
-                pid,
-                pipeline,
-            } => {
-                inst.stats.invocations += 1;
-                walk(inst, pid, pipeline);
-            }
+            );
         }
         let finish_t0 = fire_span.map(|_| obs.spans.now_ns());
         Self::cache_finish(slot, obs, key_scratch, table_gen, decision_cache_cap, cache);
@@ -1380,9 +1267,7 @@ impl RmtMachine {
     /// One listener's pipeline walk: the program's tables registered
     /// at the hook (pre-resolved by the caller into `pipeline`), in
     /// declaration order; a tail call redirects and then ends the
-    /// pipeline. Shared by the scalar fire path and the
-    /// single-listener batch fast path so their semantics (counters,
-    /// traces, cache steps) cannot drift.
+    /// pipeline.
     #[allow(clippy::too_many_arguments)]
     fn run_pipeline(
         inst: &mut Installed,
