@@ -430,9 +430,9 @@ impl Default for RmtMachine {
 }
 
 /// Decision-cache state for one firing, threaded between the probe
-/// ([`RmtMachine::cache_probe`]), the per-listener pipeline walk
-/// ([`RmtMachine::run_pipeline`]) and the publish
-/// ([`RmtMachine::cache_finish`]). The cached step chain is *moved*
+/// ([`FireCtx::cache_probe`]), the per-listener pipeline walk
+/// ([`FireCtx::run_pipeline`]) and the publish
+/// ([`FireCtx::cache_finish`]). The cached step chain is *moved*
 /// out of the map for the duration of the firing (and restored on a
 /// clean hit) rather than borrowed: a live borrow into the hook slot
 /// would pin the whole listener loop, and the moves are pointer
@@ -457,6 +457,37 @@ struct CacheRun {
     cursor: usize,
     /// A replayed step failed validation mid-firing.
     diverged: bool,
+    /// The hook's [`HookSlot::key_stable`]: replayed steps skip
+    /// per-table key re-extraction.
+    key_stable: bool,
+}
+
+/// Everything one firing borrows from the machine besides the hook
+/// slot and the programs, plus its own timing and span state. The hook
+/// slot is a live `&mut` into `hook_index`, so the fire path cannot
+/// take `&mut RmtMachine`; this is the disjoint remainder, built once
+/// per [`RmtMachine::fire`] and once per batch
+/// ([`RmtMachine::fire_parts`]).
+struct FireCtx<'a> {
+    obs: &'a mut Obs,
+    /// Reusable pipeline queue (see [`RmtMachine::scratch_queue`]).
+    scratch_queue: &'a mut Vec<usize>,
+    /// Reusable probe-key buffer (see [`RmtMachine::key_scratch`]).
+    key_scratch: &'a mut Vec<u64>,
+    tick: u64,
+    table_gen: u64,
+    cache_cap: usize,
+    /// Latency-sampling mask: a firing is timed when
+    /// `(slot.fires - 1) & sample_mask == 0`.
+    sample_mask: u64,
+    /// This firing is latency-sampled. Reset per firing, like the two
+    /// fields below.
+    timed: bool,
+    /// End of the previous listener's pipeline (start of the firing
+    /// for the first), when `timed`.
+    prev: Option<Instant>,
+    /// The open `Fire` span, when this firing is traced.
+    fire_span: Option<FireSpan>,
 }
 
 impl RmtMachine {
@@ -1018,23 +1049,12 @@ impl RmtMachine {
     /// live tables). Control-plane mutations bump a generation counter
     /// that invalidates all cached decisions.
     pub fn fire(&mut self, hook: &str, ctxt: &mut Ctxt) -> HookResult {
-        let sample_mask = Self::sample_mask(&self.obs.cfg);
-        let Some(slot) = self.hook_index.get_mut(hook) else {
-            self.obs.counters.fires_unarmed += 1;
+        let (hooks, programs, mut fx) = self.fire_parts();
+        let Some(slot) = hooks.get_mut(hook) else {
+            fx.obs.counters.fires_unarmed += 1;
             return HookResult::default();
         };
-        let result = Self::fire_in_slot(
-            &mut self.programs,
-            &mut self.obs,
-            &mut self.scratch_queue,
-            &mut self.key_scratch,
-            self.tick,
-            self.table_gen,
-            self.decision_cache_cap,
-            sample_mask,
-            slot,
-            ctxt,
-        );
+        let result = fx.fire_in_slot(programs, slot, ctxt);
         if self.obs.flight.due(self.obs.counters.fires) {
             self.capture_flight_frame();
         }
@@ -1055,29 +1075,15 @@ impl RmtMachine {
     /// single machine too.
     pub fn fire_batch(&mut self, hook: &str, ctxts: &mut [Ctxt]) -> Vec<HookResult> {
         let mut results = Vec::with_capacity(ctxts.len());
-        if ctxts.is_empty() {
-            return results;
-        }
-        let sample_mask = Self::sample_mask(&self.obs.cfg);
-        let Some(slot) = self.hook_index.get_mut(hook) else {
-            self.obs.counters.fires_unarmed += ctxts.len() as u64;
+        let (hooks, programs, mut fx) = self.fire_parts();
+        let Some(slot) = hooks.get_mut(hook) else {
+            fx.obs.counters.fires_unarmed += ctxts.len() as u64;
             results.resize_with(ctxts.len(), HookResult::default);
             return results;
         };
-        let fires_before = self.obs.counters.fires;
+        let fires_before = fx.obs.counters.fires;
         for ctxt in ctxts.iter_mut() {
-            results.push(Self::fire_in_slot(
-                &mut self.programs,
-                &mut self.obs,
-                &mut self.scratch_queue,
-                &mut self.key_scratch,
-                self.tick,
-                self.table_gen,
-                self.decision_cache_cap,
-                sample_mask,
-                slot,
-                ctxt,
-            ));
+            results.push(fx.fire_in_slot(programs, slot, ctxt));
         }
         if self
             .obs
@@ -1089,116 +1095,107 @@ impl RmtMachine {
         results
     }
 
+    /// Splits the machine into the three disjoint borrows a firing
+    /// needs: the hook index, the programs, and everything else as a
+    /// [`FireCtx`].
+    fn fire_parts(
+        &mut self,
+    ) -> (
+        &mut HashMap<String, HookSlot>,
+        &mut BTreeMap<u32, Installed>,
+        FireCtx<'_>,
+    ) {
+        let shift = self.obs.cfg.sample_shift;
+        let fx = FireCtx {
+            sample_mask: if shift >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << shift) - 1
+            },
+            obs: &mut self.obs,
+            scratch_queue: &mut self.scratch_queue,
+            key_scratch: &mut self.key_scratch,
+            tick: self.tick,
+            table_gen: self.table_gen,
+            cache_cap: self.decision_cache_cap,
+            timed: false,
+            prev: None,
+            fire_span: None,
+        };
+        (&mut self.hook_index, &mut self.programs, fx)
+    }
+}
+
+impl FireCtx<'_> {
     /// Opens the `Fire` span for one firing if the sampling layer
     /// says so: consumes an ingress-injected decision, or (when
     /// self-sampled) derives the trace id from the hook's consumed
     /// flow-key fields. `None` — the overwhelmingly common case — is
     /// one branch, no allocation, no clock read.
-    fn span_begin_fire(
-        obs: &mut Obs,
-        consumed: &[FieldId],
-        ctxt: &Ctxt,
-        key_scratch: &mut Vec<u64>,
-    ) -> Option<FireSpan> {
-        let active = obs.spans.fire_ctx()?;
+    fn span_begin_fire(&mut self, consumed: &[FieldId], ctxt: &Ctxt) -> Option<FireSpan> {
+        let active = self.obs.spans.fire_ctx()?;
         let trace_id = if active.trace_id != 0 {
             active.trace_id
         } else {
-            ctxt.key_into(consumed, key_scratch);
-            span::trace_id_from_key(key_scratch.iter().copied())
+            ctxt.key_into(consumed, self.key_scratch);
+            span::trace_id_from_key(self.key_scratch.iter().copied())
         };
-        let span_id = obs.spans.alloc_id();
+        let span_id = self.obs.spans.alloc_id();
         Some(FireSpan {
             trace_id,
             span_id,
             parent_id: active.parent_id,
-            start_ns: obs.spans.now_ns(),
+            start_ns: self.obs.spans.now_ns(),
         })
-    }
-
-    /// Latency-sampling mask from the obs config: a firing is timed
-    /// when `(slot.fires - 1) & mask == 0`.
-    fn sample_mask(cfg: &ObsConfig) -> u64 {
-        if cfg.sample_shift >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << cfg.sample_shift) - 1
-        }
     }
 
     /// One firing of an armed hook: latency-sampling decision, `Fire`
     /// span, decision-cache probe and publish (each under its own
     /// span), whole-fire histogram, around the walk over every
-    /// listener's pipeline. Takes the machine's fields as
-    /// disjoint borrows (the hook slot is a live `&mut` into
-    /// `hook_index`, so `&mut self` is unavailable) — which is what
-    /// lets [`RmtMachine::fire_batch`] hold the slot across a whole
-    /// batch. Flight-recorder capture stays with the callers: it needs
-    /// the whole machine.
-    #[allow(clippy::too_many_arguments)]
+    /// listener's pipeline. Flight-recorder capture stays with the
+    /// callers: it needs the whole machine.
     fn fire_in_slot(
+        &mut self,
         programs: &mut BTreeMap<u32, Installed>,
-        obs: &mut Obs,
-        scratch_queue: &mut Vec<usize>,
-        key_scratch: &mut Vec<u64>,
-        tick: u64,
-        table_gen: u64,
-        decision_cache_cap: usize,
-        sample_mask: u64,
         slot: &mut HookSlot,
         ctxt: &mut Ctxt,
     ) -> HookResult {
         let mut result = HookResult::default();
 
         slot.fires += 1;
-        obs.counters.fires += 1;
-        let timed = obs.cfg.timing && (slot.fires - 1) & sample_mask == 0;
-        let t0 = timed.then(Instant::now);
-        let mut prev = t0;
-        let fire_span = Self::span_begin_fire(obs, &slot.consumed, ctxt, key_scratch);
-        let probe_t0 = fire_span.map(|_| obs.spans.now_ns());
-        let mut cache =
-            Self::cache_probe(slot, obs, key_scratch, table_gen, decision_cache_cap, ctxt);
+        self.obs.counters.fires += 1;
+        self.timed = self.obs.cfg.timing && (slot.fires - 1) & self.sample_mask == 0;
+        let t0 = self.timed.then(Instant::now);
+        self.prev = t0;
+        self.fire_span = self.span_begin_fire(&slot.consumed, ctxt);
+        let fire_span = self.fire_span;
+        let probe_t0 = fire_span.map(|_| self.obs.spans.now_ns());
+        let mut cache = self.cache_probe(slot, ctxt);
         if let (Some(fs), Some(p0)) = (fire_span, probe_t0) {
-            let end = obs.spans.now_ns();
-            let id = obs.spans.alloc_id();
-            obs.spans
+            let end = self.obs.spans.now_ns();
+            let id = self.obs.spans.alloc_id();
+            self.obs
+                .spans
                 .record(fs.trace_id, id, fs.span_id, Stage::CacheProbe, p0, end);
         }
-        let span_ids = fire_span.map(|f| (f.trace_id, f.span_id));
-        let key_stable = slot.key_stable;
         for (pid, pipeline) in &slot.listeners {
             let Some(inst) = programs.get_mut(pid) else {
                 continue;
             };
             inst.stats.invocations += 1;
-            Self::run_pipeline(
-                inst,
-                *pid,
-                pipeline,
-                key_stable,
-                &mut cache,
-                obs,
-                scratch_queue,
-                tick,
-                table_gen,
-                timed,
-                &mut prev,
-                span_ids,
-                ctxt,
-                &mut result,
-            );
+            self.run_pipeline(inst, *pid, pipeline, &mut cache, ctxt, &mut result);
         }
-        let finish_t0 = fire_span.map(|_| obs.spans.now_ns());
-        Self::cache_finish(slot, obs, key_scratch, table_gen, decision_cache_cap, cache);
+        let finish_t0 = fire_span.map(|_| self.obs.spans.now_ns());
+        self.cache_finish(slot, cache);
         if let Some(fs) = fire_span {
-            let end = obs.spans.now_ns();
+            let end = self.obs.spans.now_ns();
             if let Some(f0) = finish_t0 {
-                let id = obs.spans.alloc_id();
-                obs.spans
+                let id = self.obs.spans.alloc_id();
+                self.obs
+                    .spans
                     .record(fs.trace_id, id, fs.span_id, Stage::CacheFinish, f0, end);
             }
-            obs.spans.record(
+            self.obs.spans.record(
                 fs.trace_id,
                 fs.span_id,
                 fs.parent_id,
@@ -1207,7 +1204,7 @@ impl RmtMachine {
                 end,
             );
         }
-        if let (Some(start), Some(end)) = (t0, prev) {
+        if let (Some(start), Some(end)) = (t0, self.prev) {
             slot.hist
                 .record(end.duration_since(start).as_nanos() as u64);
         }
@@ -1218,19 +1215,12 @@ impl RmtMachine {
     /// fields (into the machine's reusable key scratch — no
     /// allocation on repeat flows) and, if a current-generation
     /// decision is cached, move its step chain out for replay
-    /// (validated per table in [`RmtMachine::run_pipeline`]; actions
+    /// (validated per table in [`FireCtx::run_pipeline`]; actions
     /// always re-execute).
-    fn cache_probe(
-        slot: &mut HookSlot,
-        obs: &mut Obs,
-        key_scratch: &mut Vec<u64>,
-        table_gen: u64,
-        decision_cache_cap: usize,
-        ctxt: &Ctxt,
-    ) -> CacheRun {
-        let enabled = decision_cache_cap > 0 && slot.eligible;
-        if decision_cache_cap > 0 && !slot.eligible {
-            obs.counters.decision_cache_bypasses += 1;
+    fn cache_probe(&mut self, slot: &mut HookSlot, ctxt: &Ctxt) -> CacheRun {
+        let enabled = self.cache_cap > 0 && slot.eligible;
+        if self.cache_cap > 0 && !slot.eligible {
+            self.obs.counters.decision_cache_bypasses += 1;
         }
         let mut cache = CacheRun {
             enabled,
@@ -1243,17 +1233,18 @@ impl RmtMachine {
             replay: None,
             cursor: 0,
             diverged: false,
+            key_stable: slot.key_stable,
         };
         if enabled && cache.flowless {
             match slot.cache.flowless.take() {
-                Some(c) if c.generation == table_gen => cache.replay = Some(c.steps),
+                Some(c) if c.generation == self.table_gen => cache.replay = Some(c.steps),
                 Some(_) => cache.invalidated = true,
                 None => {}
             }
         } else if enabled {
-            ctxt.key_into(&slot.consumed, key_scratch);
-            match slot.cache.map.get_mut(key_scratch.as_slice()) {
-                Some(c) if c.generation == table_gen => {
+            ctxt.key_into(&slot.consumed, self.key_scratch);
+            match slot.cache.map.get_mut(self.key_scratch.as_slice()) {
+                Some(c) if c.generation == self.table_gen => {
                     cache.replay = Some(std::mem::take(&mut c.steps));
                 }
                 Some(_) => cache.invalidated = true,
@@ -1268,36 +1259,28 @@ impl RmtMachine {
     /// at the hook (pre-resolved by the caller into `pipeline`), in
     /// declaration order; a tail call redirects and then ends the
     /// pipeline.
-    #[allow(clippy::too_many_arguments)]
     fn run_pipeline(
+        &mut self,
         inst: &mut Installed,
         pid: u32,
         pipeline: &[usize],
-        key_stable: bool,
         cache: &mut CacheRun,
-        obs: &mut Obs,
-        scratch_queue: &mut Vec<usize>,
-        tick: u64,
-        table_gen: u64,
-        timed: bool,
-        prev: &mut Option<Instant>,
-        fire_span: Option<(u64, u64)>,
         ctxt: &mut Ctxt,
         result: &mut HookResult,
     ) {
         // (trace_id, own span id, parent fire span id, start) for the
         // RunPipeline span, when this firing is traced.
-        let pipeline_span = fire_span.map(|(trace, fire_id)| {
-            let id = obs.spans.alloc_id();
-            (trace, id, fire_id, obs.spans.now_ns())
+        let pipeline_span = self.fire_span.map(|fs| {
+            let id = self.obs.spans.alloc_id();
+            (fs.trace_id, id, fs.span_id, self.obs.spans.now_ns())
         });
         let verdicts_before = result.verdicts.len();
-        scratch_queue.clear();
-        scratch_queue.extend_from_slice(pipeline);
+        self.scratch_queue.clear();
+        self.scratch_queue.extend_from_slice(pipeline);
         let mut chain = 0usize;
         let mut qi = 0usize;
-        while qi < scratch_queue.len() {
-            let ti = scratch_queue[qi];
+        while qi < self.scratch_queue.len() {
+            let ti = self.scratch_queue[qi];
             qi += 1;
             // Match phase: replay a validated cached step, or
             // resolve live (recording if the cache missed).
@@ -1319,7 +1302,7 @@ impl RmtMachine {
                                 // already pinned every reachable
                                 // match key for this firing, so
                                 // skip re-extraction.
-                                Some(_) if key_stable => true,
+                                Some(_) if cache.key_stable => true,
                                 Some(mk) => {
                                     let k = ctxt.key(&t.def().key_fields);
                                     let same = *mk == k;
@@ -1385,12 +1368,13 @@ impl RmtMachine {
                         let key = fresh_key
                             .take()
                             .unwrap_or_else(|| ctxt.key(&t.def().key_fields));
-                        let lookup_t0 = pipeline_span.map(|_| obs.spans.now_ns());
+                        let lookup_t0 = pipeline_span.map(|_| self.obs.spans.now_ns());
                         let looked_up = t.lookup_indexed(&key);
                         if let (Some((trace, rp_id, _, _)), Some(l0)) = (pipeline_span, lookup_t0) {
-                            let end = obs.spans.now_ns();
-                            let id = obs.spans.alloc_id();
-                            obs.spans
+                            let end = self.obs.spans.now_ns();
+                            let id = self.obs.spans.alloc_id();
+                            self.obs
+                                .spans
                                 .record(trace, id, rp_id, Stage::TableLookup, l0, end);
                         }
                         match looked_up {
@@ -1422,9 +1406,9 @@ impl RmtMachine {
                 }
             };
             if matched {
-                obs.counters.table_hits += 1;
+                self.obs.counters.table_hits += 1;
             } else {
-                obs.counters.table_misses += 1;
+                self.obs.counters.table_misses += 1;
             }
             let Some(action_id) = action_id else {
                 continue; // Miss with no default: next table.
@@ -1443,7 +1427,9 @@ impl RmtMachine {
                 .fused
                 .get(action_id.0 as usize)
                 .and_then(|f| f.as_ref())
-                .filter(|f| f.generation == table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN);
+                .filter(|f| {
+                    f.generation == self.table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN
+                });
             let use_fused = fused.is_some();
             let (body, fuel) = match fused {
                 Some(f) => (&f.compiled, f.worst_case),
@@ -1461,12 +1447,12 @@ impl RmtMachine {
                     maps: &mut inst.maps,
                     tensors: &inst.prog.tensors,
                     models: &inst.prog.models,
-                    tick,
+                    tick: self.tick,
                     rng: &mut inst.rng,
                     ledger: &mut inst.ledger,
                     privacy: inst.prog.privacy,
                     ml_stats: &mut inst.model_stats,
-                    time_ml: timed,
+                    time_ml: self.timed,
                 };
                 run_action(body, fuel, arg, &mut env)
             };
@@ -1482,9 +1468,9 @@ impl RmtMachine {
                     inst.stats.insns_executed += insns_executed;
                     inst.stats.guard_trips += guard_trips;
                     if guard_trips > 0 {
-                        obs.counters.guard_trips += guard_trips;
-                        obs.ring.push(TraceEvent {
-                            tick,
+                        self.obs.counters.guard_trips += guard_trips;
+                        self.obs.ring.push(TraceEvent {
+                            tick: self.tick,
                             prog: pid,
                             kind: TraceKind::GuardTrip,
                             info: guard_trips as i64,
@@ -1512,15 +1498,15 @@ impl RmtMachine {
                             .push((TableId(ti as u16), fa.steps[0].caller_verdict));
                         for (si, step) in fa.steps.iter().enumerate() {
                             stats.tail_calls += 1;
-                            obs.counters.tail_calls += 1;
+                            self.obs.counters.tail_calls += 1;
                             chain += 1;
                             let t = &tables[step.table as usize];
                             if step.entry.is_some() {
                                 t.note_hit();
-                                obs.counters.table_hits += 1;
+                                self.obs.counters.table_hits += 1;
                             } else {
                                 t.note_miss();
-                                obs.counters.table_misses += 1;
+                                self.obs.counters.table_misses += 1;
                             }
                             if step.action.is_some() {
                                 stats.actions_run += 1;
@@ -1536,7 +1522,7 @@ impl RmtMachine {
                         // the queue at its first (collapsed) tail
                         // call, exactly as the unfused redirect
                         // truncates below.
-                        scratch_queue.truncate(qi);
+                        self.scratch_queue.truncate(qi);
                     } else {
                         result.verdicts.push((TableId(ti as u16), verdict));
                     }
@@ -1547,11 +1533,11 @@ impl RmtMachine {
                                     Effect::Prefetch { count, .. } => count.max(1),
                                     _ => 1,
                                 };
-                                if !bucket.try_take(cost, tick) {
+                                if !bucket.try_take(cost, self.tick) {
                                     inst.stats.effects_rate_limited += 1;
-                                    obs.counters.rate_limit_drops += 1;
-                                    obs.ring.push(TraceEvent {
-                                        tick,
+                                    self.obs.counters.rate_limit_drops += 1;
+                                    self.obs.ring.push(TraceEvent {
+                                        tick: self.tick,
                                         prog: pid,
                                         kind: TraceKind::RateLimitDrop,
                                         info: ti as i64,
@@ -1571,9 +1557,9 @@ impl RmtMachine {
                             // terminates it instead of letting the
                             // remaining queue run.
                             inst.stats.tail_chain_overflows += 1;
-                            obs.counters.tail_chain_overflows += 1;
-                            obs.ring.push(TraceEvent {
-                                tick,
+                            self.obs.counters.tail_chain_overflows += 1;
+                            self.obs.ring.push(TraceEvent {
+                                tick: self.tick,
                                 prog: pid,
                                 kind: TraceKind::TailChainOverflow,
                                 info: ti as i64,
@@ -1581,28 +1567,28 @@ impl RmtMachine {
                             break;
                         } else if target.0 as usize >= inst.tables.len() {
                             inst.stats.actions_aborted += 1;
-                            obs.counters.aborts += 1;
-                            obs.ring.push(TraceEvent {
-                                tick,
+                            self.obs.counters.aborts += 1;
+                            self.obs.ring.push(TraceEvent {
+                                tick: self.tick,
                                 prog: pid,
                                 kind: TraceKind::Abort,
                                 info: ti as i64,
                             });
                         } else {
                             inst.stats.tail_calls += 1;
-                            obs.counters.tail_calls += 1;
+                            self.obs.counters.tail_calls += 1;
                             // Redirect: the chain replaces the rest
                             // of the pipeline.
-                            scratch_queue.truncate(qi);
-                            scratch_queue.push(target.0 as usize);
+                            self.scratch_queue.truncate(qi);
+                            self.scratch_queue.push(target.0 as usize);
                         }
                     }
                 }
                 Err(_) => {
                     inst.stats.actions_aborted += 1;
-                    obs.counters.aborts += 1;
-                    obs.ring.push(TraceEvent {
-                        tick,
+                    self.obs.counters.aborts += 1;
+                    self.obs.ring.push(TraceEvent {
+                        tick: self.tick,
                         prog: pid,
                         kind: TraceKind::Abort,
                         info: ti as i64,
@@ -1610,26 +1596,27 @@ impl RmtMachine {
                 }
             }
         }
-        if let Some(start) = *prev {
+        if let Some(start) = self.prev {
             let now = Instant::now();
             inst.hist
                 .record(now.duration_since(start).as_nanos() as u64);
-            *prev = Some(now);
+            self.prev = Some(now);
         }
-        if obs.cfg.trace_fires {
+        if self.obs.cfg.trace_fires {
             let verdict = result.verdicts[verdicts_before..]
                 .last()
                 .map_or(i64::MIN, |&(_, v)| v);
-            obs.ring.push(TraceEvent {
-                tick,
+            self.obs.ring.push(TraceEvent {
+                tick: self.tick,
                 prog: pid,
                 kind: TraceKind::Fire,
                 info: verdict,
             });
         }
         if let Some((trace, rp_id, fire_id, start)) = pipeline_span {
-            let end = obs.spans.now_ns();
-            obs.spans
+            let end = self.obs.spans.now_ns();
+            self.obs
+                .spans
                 .record(trace, rp_id, fire_id, Stage::RunPipeline, start, end);
         }
     }
@@ -1638,14 +1625,7 @@ impl RmtMachine {
     /// step chain on a clean hit, or insert the recorded chain on a
     /// miss. The probe key is cloned out of the machine scratch only
     /// on insert — the hot hit path never allocates.
-    fn cache_finish(
-        slot: &mut HookSlot,
-        obs: &mut Obs,
-        key_scratch: &[u64],
-        table_gen: u64,
-        decision_cache_cap: usize,
-        mut cache: CacheRun,
-    ) {
+    fn cache_finish(&mut self, slot: &mut HookSlot, mut cache: CacheRun) {
         if !cache.enabled {
             return;
         }
@@ -1655,22 +1635,22 @@ impl RmtMachine {
                 .as_deref()
                 .is_some_and(|s| s.len() == cache.cursor);
         if hit {
-            obs.counters.decision_cache_hits += 1;
+            self.obs.counters.decision_cache_hits += 1;
             // Restore the step chain taken at probe time; nothing
             // evicts mid-firing.
             let steps = cache.replay.take().unwrap_or_default();
             if cache.flowless {
                 slot.cache.flowless = Some(CachedDecision {
-                    generation: table_gen,
+                    generation: self.table_gen,
                     steps,
                 });
-            } else if let Some(c) = slot.cache.map.get_mut(key_scratch) {
+            } else if let Some(c) = slot.cache.map.get_mut(self.key_scratch.as_slice()) {
                 c.steps = steps;
             }
         } else {
-            obs.counters.decision_cache_misses += 1;
+            self.obs.counters.decision_cache_misses += 1;
             if cache.invalidated {
-                obs.counters.decision_cache_invalidations += 1;
+                self.obs.counters.decision_cache_invalidations += 1;
             }
             if !cache.recording {
                 // Every replayed step validated but the live
@@ -1681,7 +1661,7 @@ impl RmtMachine {
                 });
             }
             let dec = CachedDecision {
-                generation: table_gen,
+                generation: self.table_gen,
                 steps: cache.recorded,
             };
             if cache.flowless {
@@ -1689,12 +1669,14 @@ impl RmtMachine {
             } else {
                 let evicted = slot
                     .cache
-                    .insert(key_scratch.to_vec(), dec, decision_cache_cap);
-                obs.counters.decision_cache_evictions += evicted;
+                    .insert(self.key_scratch.to_vec(), dec, self.cache_cap);
+                self.obs.counters.decision_cache_evictions += evicted;
             }
         }
     }
+}
 
+impl RmtMachine {
     /// Captures one flight-recorder frame from current obs state.
     fn capture_flight_frame(&mut self) {
         let mut hooks: Vec<FlightHookPoint> = self
