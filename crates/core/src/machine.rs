@@ -23,24 +23,25 @@ use crate::maps::{MapId, MapInstance, MapState};
 use crate::obs::span::{self, SpanCollector, SpanSnapshot, Stage, StageProfile};
 use crate::obs::{
     FlightFrame, FlightHookPoint, FlightModelPoint, FlightSnapshot, HookStats, Log2Hist,
-    ModelStats, ModelStatsSnapshot, ModelStatsState, Obs, ObsConfig, ObsSnapshot, ObsState,
-    ProgHist, TraceEvent, TraceKind, TraceSnapshot,
+    MachineCounters, ModelStats, ModelStatsSnapshot, ModelStatsState, Obs, ObsConfig, ObsSnapshot,
+    ObsState, ProgHist, TraceEvent, TraceKind, TraceSnapshot,
 };
 use crate::opt::{
     fuse_chain, optimize_reverified, optimize_reverified_with, FusedStepPlan, OptLevel, OptStats,
 };
 use crate::prog::{ModelSpec, RmtProgram};
-use crate::table::{Entry, MatchKind, Table, TableId, TableStats};
+use crate::table::{ActionId, Entry, MatchKind, Table, TableId, TableStats};
 use crate::verifier::{verify_with, VerifiedProgram, VerifierConfig};
 use rkd_testkit::rng::SeedableRng;
 use rkd_testkit::rng::StdRng;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::ControlFlow;
 use std::time::Instant;
 
-/// Bookkeeping for one sampled firing's open `Fire` span: identity
-/// fixed at entry, recorded once the firing completes.
+/// An open span of a sampled firing: identity and start fixed when it
+/// opens, recorded by [`FireCtx::close_span`].
 #[derive(Clone, Copy)]
-struct FireSpan {
+struct OpenSpan {
     trace_id: u64,
     span_id: u64,
     parent_id: u64,
@@ -329,6 +330,53 @@ struct FusedAction {
     step_keys: Box<[Option<Vec<u64>>]>,
 }
 
+impl FusedAction {
+    /// The fused body collapsed a statically resolved match chain into
+    /// one execution that started at table `first` and ended with
+    /// `verdict`; synthesize the per-table observability the chain no
+    /// longer performs live. Verdicts are the fusion-time constants,
+    /// bit-identical to the unfused chain's; only `insns_executed`
+    /// legitimately differs (that's the win). Returns the tail calls
+    /// the chain followed.
+    fn account(
+        &self,
+        tables: &[Table],
+        stats: &mut ProgStats,
+        counters: &mut MachineCounters,
+        first: TableId,
+        verdict: i64,
+        result: &mut HookResult,
+    ) -> usize {
+        result.verdicts.push((first, self.steps[0].caller_verdict));
+        for (si, step) in self.steps.iter().enumerate() {
+            stats.tail_calls += 1;
+            counters.tail_calls += 1;
+            note_lookup(&tables[step.table as usize], counters, step.entry.is_some());
+            if step.action.is_some() {
+                stats.actions_run += 1;
+                let v = self
+                    .steps
+                    .get(si + 1)
+                    .map_or(verdict, |next| next.caller_verdict);
+                result.verdicts.push((TableId(step.table), v));
+            }
+        }
+        self.steps.len()
+    }
+}
+
+/// Counts one table lookup's outcome in the table's own statistics and
+/// the machine counters.
+fn note_lookup(t: &Table, counters: &mut MachineCounters, hit: bool) {
+    if hit {
+        t.note_hit();
+        counters.table_hits += 1;
+    } else {
+        t.note_miss();
+        counters.table_misses += 1;
+    }
+}
+
 /// One installed program with its runtime state.
 struct Installed {
     prog: RmtProgram,
@@ -462,6 +510,90 @@ struct CacheRun {
     key_stable: bool,
 }
 
+/// How the decision cache answered for one pipeline step
+/// ([`CacheRun::replay_next`]).
+enum Replayed {
+    /// The next memoized step validated against the live table: the
+    /// matched entry slot (`None` = miss / default action).
+    Step(Option<usize>),
+    /// Resolve live — carrying the table's match key when validation
+    /// already extracted it.
+    Live(Option<Vec<u64>>),
+}
+
+impl CacheRun {
+    /// Validates the next memoized step for table `ti` of program
+    /// `pid`, or — on the first step that fails, or when the live
+    /// pipeline outruns the memo (e.g. a tail call fires now that
+    /// didn't before) — turns the validated prefix into the start of
+    /// a fresh recording.
+    fn replay_next(&mut self, pid: u32, ti: usize, t: &Table, ctxt: &Ctxt) -> Replayed {
+        if !self.enabled || self.recording {
+            return Replayed::Live(None);
+        }
+        let mut fresh_key = None;
+        if let Some(st) = self.replay.as_deref().unwrap_or(&[]).get(self.cursor) {
+            let ok = st.prog == pid
+                && st.table as usize == ti
+                && match &st.key {
+                    // Key-independent decision: still valid iff the
+                    // table is still empty (no key extraction).
+                    None => t.is_empty(),
+                    // Key-stable hook: the probe-key match already
+                    // pinned every reachable match key for this
+                    // firing, so skip re-extraction.
+                    Some(_) if self.key_stable => true,
+                    Some(mk) => {
+                        let k = ctxt.key(&t.def().key_fields);
+                        let same = *mk == k;
+                        fresh_key = Some(k);
+                        same
+                    }
+                }
+                && match st.entry {
+                    Some(ei) => (ei as usize) < t.entries().len(),
+                    None => true,
+                };
+            if ok {
+                let entry = st.entry.map(|ei| ei as usize);
+                self.cursor += 1;
+                return Replayed::Step(entry);
+            }
+        }
+        let mut prefix = self.replay.take().unwrap_or_default();
+        prefix.truncate(self.cursor);
+        self.recorded = prefix;
+        self.recording = true;
+        self.diverged = true;
+        Replayed::Live(fresh_key)
+    }
+
+    /// Memoizes one live-resolved step while recording.
+    fn record(&mut self, pid: u32, ti: usize, key: Option<Vec<u64>>, entry: Option<usize>) {
+        if self.recording {
+            self.recorded.push(CachedStep {
+                prog: pid,
+                table: ti as u16,
+                key,
+                entry: entry.map(|ei| ei as u32),
+            });
+        }
+    }
+}
+
+/// Where one listener's pipeline walk stands.
+struct Walk {
+    pid: u32,
+    /// The table being visited.
+    ti: usize,
+    /// Queue position after `ti`: a redirect truncates the queue here.
+    qi: usize,
+    /// Tail calls followed so far (bounded by [`MAX_TAIL_CHAIN`]).
+    chain: usize,
+    /// The open `RunPipeline` span, when this firing is traced.
+    span: Option<OpenSpan>,
+}
+
 /// Everything one firing borrows from the machine besides the hook
 /// slot and the programs, plus its own timing and span state. The hook
 /// slot is a live `&mut` into `hook_index`, so the fire path cannot
@@ -487,7 +619,7 @@ struct FireCtx<'a> {
     /// for the first), when `timed`.
     prev: Option<Instant>,
     /// The open `Fire` span, when this firing is traced.
-    fire_span: Option<FireSpan>,
+    fire_span: Option<OpenSpan>,
 }
 
 impl RmtMachine {
@@ -1132,7 +1264,7 @@ impl FireCtx<'_> {
     /// self-sampled) derives the trace id from the hook's consumed
     /// flow-key fields. `None` — the overwhelmingly common case — is
     /// one branch, no allocation, no clock read.
-    fn span_begin_fire(&mut self, consumed: &[FieldId], ctxt: &Ctxt) -> Option<FireSpan> {
+    fn span_begin_fire(&mut self, consumed: &[FieldId], ctxt: &Ctxt) -> Option<OpenSpan> {
         let active = self.obs.spans.fire_ctx()?;
         let trace_id = if active.trace_id != 0 {
             active.trace_id
@@ -1141,12 +1273,62 @@ impl FireCtx<'_> {
             span::trace_id_from_key(self.key_scratch.iter().copied())
         };
         let span_id = self.obs.spans.alloc_id();
-        Some(FireSpan {
+        Some(OpenSpan {
             trace_id,
             span_id,
             parent_id: active.parent_id,
             start_ns: self.obs.spans.now_ns(),
         })
+    }
+
+    /// Opens a child of `parent` — `None` in, `None` out, so untraced
+    /// firings pay one branch per span site.
+    fn open_span(&mut self, parent: Option<OpenSpan>) -> Option<OpenSpan> {
+        let parent = parent?;
+        Some(OpenSpan {
+            trace_id: parent.trace_id,
+            span_id: self.obs.spans.alloc_id(),
+            parent_id: parent.span_id,
+            start_ns: self.obs.spans.now_ns(),
+        })
+    }
+
+    /// Records `span` as one `stage` ending now.
+    fn close_span(&mut self, span: Option<OpenSpan>, stage: Stage) {
+        if let Some(s) = span {
+            let end = self.obs.spans.now_ns();
+            self.obs
+                .spans
+                .record(s.trace_id, s.span_id, s.parent_id, stage, s.start_ns, end);
+        }
+    }
+
+    /// Pushes one datapath trace event; for the three kinds that cut a
+    /// step short it also bumps the program stat and machine counter
+    /// that count them.
+    fn trace(&mut self, stats: &mut ProgStats, pid: u32, kind: TraceKind, info: i64) {
+        let counters = &mut self.obs.counters;
+        match kind {
+            TraceKind::Abort => {
+                stats.actions_aborted += 1;
+                counters.aborts += 1;
+            }
+            TraceKind::TailChainOverflow => {
+                stats.tail_chain_overflows += 1;
+                counters.tail_chain_overflows += 1;
+            }
+            TraceKind::RateLimitDrop => {
+                stats.effects_rate_limited += 1;
+                counters.rate_limit_drops += 1;
+            }
+            _ => {}
+        }
+        self.obs.ring.push(TraceEvent {
+            tick: self.tick,
+            prog: pid,
+            kind,
+            info,
+        });
     }
 
     /// One firing of an armed hook: latency-sampling decision, `Fire`
@@ -1168,16 +1350,9 @@ impl FireCtx<'_> {
         let t0 = self.timed.then(Instant::now);
         self.prev = t0;
         self.fire_span = self.span_begin_fire(&slot.consumed, ctxt);
-        let fire_span = self.fire_span;
-        let probe_t0 = fire_span.map(|_| self.obs.spans.now_ns());
+        let probe_span = self.open_span(self.fire_span);
         let mut cache = self.cache_probe(slot, ctxt);
-        if let (Some(fs), Some(p0)) = (fire_span, probe_t0) {
-            let end = self.obs.spans.now_ns();
-            let id = self.obs.spans.alloc_id();
-            self.obs
-                .spans
-                .record(fs.trace_id, id, fs.span_id, Stage::CacheProbe, p0, end);
-        }
+        self.close_span(probe_span, Stage::CacheProbe);
         for (pid, pipeline) in &slot.listeners {
             let Some(inst) = programs.get_mut(pid) else {
                 continue;
@@ -1185,25 +1360,10 @@ impl FireCtx<'_> {
             inst.stats.invocations += 1;
             self.run_pipeline(inst, *pid, pipeline, &mut cache, ctxt, &mut result);
         }
-        let finish_t0 = fire_span.map(|_| self.obs.spans.now_ns());
+        let finish_span = self.open_span(self.fire_span);
         self.cache_finish(slot, cache);
-        if let Some(fs) = fire_span {
-            let end = self.obs.spans.now_ns();
-            if let Some(f0) = finish_t0 {
-                let id = self.obs.spans.alloc_id();
-                self.obs
-                    .spans
-                    .record(fs.trace_id, id, fs.span_id, Stage::CacheFinish, f0, end);
-            }
-            self.obs.spans.record(
-                fs.trace_id,
-                fs.span_id,
-                fs.parent_id,
-                Stage::Fire,
-                fs.start_ns,
-                end,
-            );
-        }
+        self.close_span(finish_span, Stage::CacheFinish);
+        self.close_span(self.fire_span, Stage::Fire);
         if let (Some(start), Some(end)) = (t0, self.prev) {
             slot.hist
                 .record(end.duration_since(start).as_nanos() as u64);
@@ -1268,332 +1428,35 @@ impl FireCtx<'_> {
         ctxt: &mut Ctxt,
         result: &mut HookResult,
     ) {
-        // (trace_id, own span id, parent fire span id, start) for the
-        // RunPipeline span, when this firing is traced.
-        let pipeline_span = self.fire_span.map(|fs| {
-            let id = self.obs.spans.alloc_id();
-            (fs.trace_id, id, fs.span_id, self.obs.spans.now_ns())
-        });
+        let mut walk = Walk {
+            pid,
+            ti: 0,
+            qi: 0,
+            chain: 0,
+            span: self.open_span(self.fire_span),
+        };
         let verdicts_before = result.verdicts.len();
         self.scratch_queue.clear();
         self.scratch_queue.extend_from_slice(pipeline);
-        let mut chain = 0usize;
-        let mut qi = 0usize;
-        while qi < self.scratch_queue.len() {
-            let ti = self.scratch_queue[qi];
-            qi += 1;
-            // Match phase: replay a validated cached step, or
-            // resolve live (recording if the cache missed).
-            let mut replayed: Option<Option<usize>> = None;
-            let mut fresh_key: Option<Vec<u64>> = None;
-            if cache.enabled && !cache.recording {
-                match cache.replay.as_deref().unwrap_or(&[]).get(cache.cursor) {
-                    Some(st) => {
-                        let t = &inst.tables[ti];
-                        let ok = st.prog == pid
-                            && st.table as usize == ti
-                            && match &st.key {
-                                // Key-independent decision: still
-                                // valid iff the table is still
-                                // empty (no key extraction).
-                                None => t.is_empty(),
-                                // Key-stable hook (specialized
-                                // fast path): the probe-key match
-                                // already pinned every reachable
-                                // match key for this firing, so
-                                // skip re-extraction.
-                                Some(_) if cache.key_stable => true,
-                                Some(mk) => {
-                                    let k = ctxt.key(&t.def().key_fields);
-                                    let same = *mk == k;
-                                    fresh_key = Some(k);
-                                    same
-                                }
-                            }
-                            && match st.entry {
-                                Some(ei) => (ei as usize) < t.entries().len(),
-                                None => true,
-                            };
-                        if ok {
-                            replayed = Some(st.entry.map(|ei| ei as usize));
-                            cache.cursor += 1;
-                        } else {
-                            let mut r = cache.replay.take().unwrap_or_default();
-                            r.truncate(cache.cursor);
-                            cache.recorded = r;
-                            cache.recording = true;
-                            cache.diverged = true;
-                        }
-                    }
-                    None => {
-                        // Live pipeline outran the memo (e.g. a
-                        // tail call fires now that didn't before):
-                        // divergence. The validated prefix seeds
-                        // the re-recording.
-                        cache.recorded = cache.replay.take().unwrap_or_default();
-                        cache.recording = true;
-                        cache.diverged = true;
-                    }
-                }
-            }
-            let (matched, action_id, arg) = match replayed {
-                Some(Some(ei)) => {
-                    let t = &inst.tables[ti];
-                    t.note_hit();
-                    let e = &t.entries()[ei];
-                    (true, Some(e.action), e.arg)
-                }
-                Some(None) => {
-                    let t = &inst.tables[ti];
-                    t.note_miss();
-                    (false, t.def().default_action, 0)
-                }
-                None => {
-                    let t = &inst.tables[ti];
-                    if cache.enabled && t.is_empty() {
-                        // Empty table: the default action fires
-                        // regardless of the key — skip extraction
-                        // and memoize a key-independent step.
-                        t.note_miss();
-                        if cache.recording {
-                            cache.recorded.push(CachedStep {
-                                prog: pid,
-                                table: ti as u16,
-                                key: None,
-                                entry: None,
-                            });
-                        }
-                        (false, t.def().default_action, 0)
-                    } else {
-                        let key = fresh_key
-                            .take()
-                            .unwrap_or_else(|| ctxt.key(&t.def().key_fields));
-                        let lookup_t0 = pipeline_span.map(|_| self.obs.spans.now_ns());
-                        let looked_up = t.lookup_indexed(&key);
-                        if let (Some((trace, rp_id, _, _)), Some(l0)) = (pipeline_span, lookup_t0) {
-                            let end = self.obs.spans.now_ns();
-                            let id = self.obs.spans.alloc_id();
-                            self.obs
-                                .spans
-                                .record(trace, id, rp_id, Stage::TableLookup, l0, end);
-                        }
-                        match looked_up {
-                            Some((ei, e)) => {
-                                let (action, arg) = (e.action, e.arg);
-                                if cache.recording {
-                                    cache.recorded.push(CachedStep {
-                                        prog: pid,
-                                        table: ti as u16,
-                                        key: Some(key),
-                                        entry: Some(ei as u32),
-                                    });
-                                }
-                                (true, Some(action), arg)
-                            }
-                            None => {
-                                if cache.recording {
-                                    cache.recorded.push(CachedStep {
-                                        prog: pid,
-                                        table: ti as u16,
-                                        key: Some(key),
-                                        entry: None,
-                                    });
-                                }
-                                (false, t.def().default_action, 0)
-                            }
-                        }
-                    }
-                }
-            };
-            if matched {
-                self.obs.counters.table_hits += 1;
-            } else {
-                self.obs.counters.table_misses += 1;
-            }
+        while walk.qi < self.scratch_queue.len() {
+            walk.ti = self.scratch_queue[walk.qi];
+            walk.qi += 1;
+            let (action_id, arg) = self.resolve_step(&inst.tables[walk.ti], &walk, cache, ctxt);
             let Some(action_id) = action_id else {
                 continue; // Miss with no default: next table.
             };
-            // A fused chain body replaces the unfused action when its
-            // resolution stamp matches the live table generation; a
-            // stale stamp (mutation since the last re-specialization)
-            // falls back to the unfused body — same verdicts, unfused
-            // cost — until `refresh_fused` catches up. The collapsed
-            // links must also fit the remaining dynamic tail-chain
-            // budget: a fused dispatch reached through a prior
-            // (unresolved) redirect would otherwise execute links the
-            // unfused chain's per-redirect `MAX_TAIL_CHAIN` check
-            // refuses.
-            let fused = inst
-                .fused
-                .get(action_id.0 as usize)
-                .and_then(|f| f.as_ref())
-                .filter(|f| {
-                    f.generation == self.table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN
-                });
-            let use_fused = fused.is_some();
-            let (body, fuel) = match fused {
-                Some(f) => (&f.compiled, f.worst_case),
-                None => (
-                    &inst.compiled[action_id.0 as usize],
-                    inst.worst_case
-                        .get(action_id.0 as usize)
-                        .copied()
-                        .unwrap_or(1),
-                ),
-            };
-            let outcome = {
-                let mut env = ExecEnv {
-                    ctxt,
-                    maps: &mut inst.maps,
-                    tensors: &inst.prog.tensors,
-                    models: &inst.prog.models,
-                    tick: self.tick,
-                    rng: &mut inst.rng,
-                    ledger: &mut inst.ledger,
-                    privacy: inst.prog.privacy,
-                    ml_stats: &mut inst.model_stats,
-                    time_ml: self.timed,
-                };
-                run_action(body, fuel, arg, &mut env)
-            };
+            let (outcome, fused) = self.dispatch(inst, action_id, arg, walk.chain, ctxt);
             match outcome {
-                Ok(ActionOutcome {
-                    verdict,
-                    effects,
-                    tail_call,
-                    insns_executed,
-                    guard_trips,
-                }) => {
-                    inst.stats.actions_run += 1;
-                    inst.stats.insns_executed += insns_executed;
-                    inst.stats.guard_trips += guard_trips;
-                    if guard_trips > 0 {
-                        self.obs.counters.guard_trips += guard_trips;
-                        self.obs.ring.push(TraceEvent {
-                            tick: self.tick,
-                            prog: pid,
-                            kind: TraceKind::GuardTrip,
-                            info: guard_trips as i64,
-                        });
-                    }
-                    if use_fused {
-                        // The fused body collapsed a statically
-                        // resolved match chain into one execution;
-                        // synthesize the per-table observability the
-                        // chain no longer performs live. Verdicts are
-                        // the fusion-time constants, bit-identical to
-                        // the unfused chain's; only `insns_executed`
-                        // legitimately differs (that's the win).
-                        let Installed {
-                            fused,
-                            tables,
-                            stats,
-                            ..
-                        } = inst;
-                        let fa = fused[action_id.0 as usize]
-                            .as_ref()
-                            .expect("use_fused checked");
-                        result
-                            .verdicts
-                            .push((TableId(ti as u16), fa.steps[0].caller_verdict));
-                        for (si, step) in fa.steps.iter().enumerate() {
-                            stats.tail_calls += 1;
-                            self.obs.counters.tail_calls += 1;
-                            chain += 1;
-                            let t = &tables[step.table as usize];
-                            if step.entry.is_some() {
-                                t.note_hit();
-                                self.obs.counters.table_hits += 1;
-                            } else {
-                                t.note_miss();
-                                self.obs.counters.table_misses += 1;
-                            }
-                            if step.action.is_some() {
-                                stats.actions_run += 1;
-                                let v = fa
-                                    .steps
-                                    .get(si + 1)
-                                    .map(|n| n.caller_verdict)
-                                    .unwrap_or(verdict);
-                                result.verdicts.push((TableId(step.table), v));
-                            }
-                        }
-                        // The chain redirected away from the rest of
-                        // the queue at its first (collapsed) tail
-                        // call, exactly as the unfused redirect
-                        // truncates below.
-                        self.scratch_queue.truncate(qi);
-                    } else {
-                        result.verdicts.push((TableId(ti as u16), verdict));
-                    }
-                    for e in effects {
-                        if e.is_resource() {
-                            if let Some(bucket) = &mut inst.bucket {
-                                let cost = match e {
-                                    Effect::Prefetch { count, .. } => count.max(1),
-                                    _ => 1,
-                                };
-                                if !bucket.try_take(cost, self.tick) {
-                                    inst.stats.effects_rate_limited += 1;
-                                    self.obs.counters.rate_limit_drops += 1;
-                                    self.obs.ring.push(TraceEvent {
-                                        tick: self.tick,
-                                        prog: pid,
-                                        kind: TraceKind::RateLimitDrop,
-                                        info: ti as i64,
-                                    });
-                                    continue;
-                                }
-                            }
-                        }
-                        inst.stats.effects_emitted += 1;
-                        result.effects.push(e);
-                    }
-                    if let Some(target) = tail_call {
-                        chain += 1;
-                        if chain > MAX_TAIL_CHAIN {
-                            // §3.1: a tail call redirects and ends
-                            // the pipeline — an over-long chain
-                            // terminates it instead of letting the
-                            // remaining queue run.
-                            inst.stats.tail_chain_overflows += 1;
-                            self.obs.counters.tail_chain_overflows += 1;
-                            self.obs.ring.push(TraceEvent {
-                                tick: self.tick,
-                                prog: pid,
-                                kind: TraceKind::TailChainOverflow,
-                                info: ti as i64,
-                            });
-                            break;
-                        } else if target.0 as usize >= inst.tables.len() {
-                            inst.stats.actions_aborted += 1;
-                            self.obs.counters.aborts += 1;
-                            self.obs.ring.push(TraceEvent {
-                                tick: self.tick,
-                                prog: pid,
-                                kind: TraceKind::Abort,
-                                info: ti as i64,
-                            });
-                        } else {
-                            inst.stats.tail_calls += 1;
-                            self.obs.counters.tail_calls += 1;
-                            // Redirect: the chain replaces the rest
-                            // of the pipeline.
-                            self.scratch_queue.truncate(qi);
-                            self.scratch_queue.push(target.0 as usize);
-                        }
+                Ok(outcome) => {
+                    let fused = fused.then_some(action_id);
+                    if self
+                        .apply_outcome(inst, &mut walk, fused, outcome, result)
+                        .is_break()
+                    {
+                        break;
                     }
                 }
-                Err(_) => {
-                    inst.stats.actions_aborted += 1;
-                    self.obs.counters.aborts += 1;
-                    self.obs.ring.push(TraceEvent {
-                        tick: self.tick,
-                        prog: pid,
-                        kind: TraceKind::Abort,
-                        info: ti as i64,
-                    });
-                }
+                Err(_) => self.trace(&mut inst.stats, pid, TraceKind::Abort, walk.ti as i64),
             }
         }
         if let Some(start) = self.prev {
@@ -1606,19 +1469,172 @@ impl FireCtx<'_> {
             let verdict = result.verdicts[verdicts_before..]
                 .last()
                 .map_or(i64::MIN, |&(_, v)| v);
-            self.obs.ring.push(TraceEvent {
-                tick: self.tick,
-                prog: pid,
-                kind: TraceKind::Fire,
-                info: verdict,
+            self.trace(&mut inst.stats, pid, TraceKind::Fire, verdict);
+        }
+        self.close_span(walk.span, Stage::RunPipeline);
+    }
+
+    /// Match phase of one step: replay a validated cached step or
+    /// resolve live (recording if the cache missed), count the hit or
+    /// miss, and return the action to run with its argument (`None` =
+    /// miss with no default action).
+    fn resolve_step(
+        &mut self,
+        t: &Table,
+        walk: &Walk,
+        cache: &mut CacheRun,
+        ctxt: &Ctxt,
+    ) -> (Option<ActionId>, i64) {
+        let entry = match cache.replay_next(walk.pid, walk.ti, t, ctxt) {
+            Replayed::Step(entry) => entry,
+            // Empty table: the default action fires regardless of the
+            // key — skip extraction and memoize a key-independent step.
+            Replayed::Live(_) if cache.enabled && t.is_empty() => {
+                cache.record(walk.pid, walk.ti, None, None);
+                None
+            }
+            Replayed::Live(key) => {
+                let key = key.unwrap_or_else(|| ctxt.key(&t.def().key_fields));
+                let span = self.open_span(walk.span);
+                let entry = t.resolve_indexed(&key).map(|(ei, _)| ei);
+                self.close_span(span, Stage::TableLookup);
+                cache.record(walk.pid, walk.ti, Some(key), entry);
+                entry
+            }
+        };
+        note_lookup(t, &mut self.obs.counters, entry.is_some());
+        match entry {
+            Some(ei) => {
+                let e = &t.entries()[ei];
+                (Some(e.action), e.arg)
+            }
+            None => (t.def().default_action, 0),
+        }
+    }
+
+    /// Runs the body bound to `action_id`; the flag says the fused
+    /// chain body ran. That body replaces the unfused action when its
+    /// resolution stamp matches the live table generation; a stale
+    /// stamp (mutation since the last re-specialization) falls back to
+    /// the unfused body — same verdicts, unfused cost — until
+    /// `refresh_fused` catches up. The collapsed links must also fit
+    /// the remaining dynamic tail-chain budget: a fused dispatch
+    /// reached through a prior (unresolved) redirect would otherwise
+    /// execute links the unfused chain's per-redirect
+    /// `MAX_TAIL_CHAIN` check refuses.
+    fn dispatch(
+        &mut self,
+        inst: &mut Installed,
+        action_id: ActionId,
+        arg: i64,
+        chain: usize,
+        ctxt: &mut Ctxt,
+    ) -> (Result<ActionOutcome, VmError>, bool) {
+        let ai = action_id.0 as usize;
+        let fused =
+            inst.fused.get(ai).and_then(|f| f.as_ref()).filter(|f| {
+                f.generation == self.table_gen && chain + f.steps.len() <= MAX_TAIL_CHAIN
             });
+        let (body, fuel) = match fused {
+            Some(f) => (&f.compiled, f.worst_case),
+            None => (
+                &inst.compiled[ai],
+                inst.worst_case.get(ai).copied().unwrap_or(1),
+            ),
+        };
+        let mut env = ExecEnv {
+            ctxt,
+            maps: &mut inst.maps,
+            tensors: &inst.prog.tensors,
+            models: &inst.prog.models,
+            tick: self.tick,
+            rng: &mut inst.rng,
+            ledger: &mut inst.ledger,
+            privacy: inst.prog.privacy,
+            ml_stats: &mut inst.model_stats,
+            time_ml: self.timed,
+        };
+        (run_action(body, fuel, arg, &mut env), fused.is_some())
+    }
+
+    /// Lands one action's outcome: stats, verdicts (`fused` names the
+    /// action whose fused body produced them), rate-limited effects,
+    /// and the tail-call redirect. `Break` ends the pipeline.
+    fn apply_outcome(
+        &mut self,
+        inst: &mut Installed,
+        walk: &mut Walk,
+        fused: Option<ActionId>,
+        outcome: ActionOutcome,
+        result: &mut HookResult,
+    ) -> ControlFlow<()> {
+        let (pid, ti) = (walk.pid, walk.ti);
+        inst.stats.actions_run += 1;
+        inst.stats.insns_executed += outcome.insns_executed;
+        inst.stats.guard_trips += outcome.guard_trips;
+        if outcome.guard_trips > 0 {
+            self.obs.counters.guard_trips += outcome.guard_trips;
+            let trips = outcome.guard_trips as i64;
+            self.trace(&mut inst.stats, pid, TraceKind::GuardTrip, trips);
         }
-        if let Some((trace, rp_id, fire_id, start)) = pipeline_span {
-            let end = self.obs.spans.now_ns();
-            self.obs
-                .spans
-                .record(trace, rp_id, fire_id, Stage::RunPipeline, start, end);
+        match fused.and_then(|a| inst.fused[a.0 as usize].as_ref()) {
+            Some(fa) => {
+                walk.chain += fa.account(
+                    &inst.tables,
+                    &mut inst.stats,
+                    &mut self.obs.counters,
+                    TableId(ti as u16),
+                    outcome.verdict,
+                    result,
+                );
+                // The chain redirected away from the rest of the queue
+                // at its first (collapsed) tail call, exactly as the
+                // unfused redirect truncates below.
+                self.scratch_queue.truncate(walk.qi);
+            }
+            None => result.verdicts.push((TableId(ti as u16), outcome.verdict)),
         }
+        for e in outcome.effects {
+            if e.is_resource() {
+                if let Some(bucket) = &mut inst.bucket {
+                    let cost = match e {
+                        Effect::Prefetch { count, .. } => count.max(1),
+                        _ => 1,
+                    };
+                    if !bucket.try_take(cost, self.tick) {
+                        self.trace(&mut inst.stats, pid, TraceKind::RateLimitDrop, ti as i64);
+                        continue;
+                    }
+                }
+            }
+            inst.stats.effects_emitted += 1;
+            result.effects.push(e);
+        }
+        if let Some(target) = outcome.tail_call {
+            walk.chain += 1;
+            if walk.chain > MAX_TAIL_CHAIN {
+                // §3.1: a tail call redirects and ends the pipeline —
+                // an over-long chain terminates it instead of letting
+                // the remaining queue run.
+                self.trace(
+                    &mut inst.stats,
+                    pid,
+                    TraceKind::TailChainOverflow,
+                    ti as i64,
+                );
+                return ControlFlow::Break(());
+            } else if target.0 as usize >= inst.tables.len() {
+                self.trace(&mut inst.stats, pid, TraceKind::Abort, ti as i64);
+            } else {
+                inst.stats.tail_calls += 1;
+                self.obs.counters.tail_calls += 1;
+                // Redirect: the chain replaces the rest of the
+                // pipeline.
+                self.scratch_queue.truncate(walk.qi);
+                self.scratch_queue.push(target.0 as usize);
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Publishes the firing's decision-cache outcome: restore the
