@@ -175,6 +175,22 @@ if [ -e crates/core/src/jit.rs ] || grep -rnE 'CompiledAction|core::jit' crates 
     exit 1
 fi
 
+echo "==> one fire path: machine/ stays split, small, and free of the old forks"
+if [ -e crates/core/src/machine.rs ]; then
+    echo "ERROR: crates/core/src/machine.rs is back (the machine lives in crates/core/src/machine/)" >&2
+    exit 1
+fi
+for f in crates/core/src/machine/*.rs; do
+    if [ "$(basename "$f")" != tests.rs ] && [ "$(wc -l <"$f")" -gt 900 ]; then
+        echo "ERROR: $f is over 900 lines" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'too_many_arguments|enum Listeners|pipeline_scratch' crates/core/src/machine; then
+    echo "ERROR: a deleted fire-path mechanism crept back into crates/core/src/machine/" >&2
+    exit 1
+fi
+
 echo "==> dependency closure must be workspace-only"
 external=$(cargo tree --offline --workspace --edges normal,build,dev \
     | grep -oE '[a-z0-9_-]+ v[0-9][0-9.]*' | sort -u | grep -v '^rkd' || true)
