@@ -33,7 +33,7 @@ struct CachedStep {
 /// flood-resistance buys nothing here (the cache is bounded and
 /// kernel-internal) and costs a large fraction of the replay budget.
 #[derive(Default)]
-struct FlowKeyHasher(u64);
+pub(super) struct FlowKeyHasher(u64);
 
 impl Hasher for FlowKeyHasher {
     fn finish(&self) -> u64 {
@@ -46,8 +46,15 @@ impl Hasher for FlowKeyHasher {
         x ^ (x >> 31)
     }
 
+    /// std hashes a `[u64]` key as a length prefix plus one `write`
+    /// over the raw words, so this — not `write_u64` — is what every
+    /// probe runs: mix a word per round, not a byte.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_ne_bytes(w.try_into().expect("chunks_exact(8)")));
+        }
+        for &b in words.remainder() {
             self.write_u64(b as u64);
         }
     }

@@ -1347,3 +1347,20 @@ fn set_opt_level_is_behavior_preserving() {
         Err(VmError::NoSuchProgram(_))
     ));
 }
+
+#[test]
+fn flow_key_hash_mixes_one_round_per_word() {
+    use std::hash::{Hash, Hasher};
+    let (a, b) = (0x0123_4567_89AB_CDEFu64, 7u64);
+    let mut by_slice = cache::FlowKeyHasher::default();
+    [a, b].as_slice().hash(&mut by_slice);
+    let mut by_word = cache::FlowKeyHasher::default();
+    by_word.write_usize(2);
+    by_word.write_u64(a);
+    by_word.write_u64(b);
+    assert_eq!(by_slice.finish(), by_word.finish());
+    // Trailing bytes that do not fill a word still count.
+    let mut odd = cache::FlowKeyHasher::default();
+    odd.write(&[1, 2, 3]);
+    assert_ne!(odd.finish(), cache::FlowKeyHasher::default().finish());
+}
