@@ -140,7 +140,7 @@ impl RmtMachine {
     /// [`ProgStats::actions_aborted`]).
     ///
     /// The observability layer sees every firing: machine counters
-    /// always, latency histograms when [`ObsConfig::timing`] is on
+    /// always, latency histograms when [`crate::obs::ObsConfig::timing`] is on
     /// (subject to sampling), trace events for notable outcomes. The
     /// path itself is allocation-free in steady state — the pipeline
     /// queue is a reusable per-machine scratch buffer and the listener
@@ -441,7 +441,7 @@ impl FireCtx<'_> {
     }
 
     /// Runs the body bound to `action_id` — the fused chain body when
-    /// [`FusedAction::is_live`] says it may stand in, else the unfused
+    /// `FusedAction::is_live` says it may stand in, else the unfused
     /// one; the flag says which.
     fn dispatch(
         &mut self,

@@ -3,9 +3,8 @@
 //! Every mutation that can change a match outcome bumps the table
 //! generation and re-specializes fused chains before returning.
 
-use super::cache::DecisionCache;
 use super::fire::TokenBucket;
-use super::{ExecMode, HookSlot, Installed, ProgId, ProgStats, RmtMachine};
+use super::{ExecMode, Installed, ProgId, ProgStats, RmtMachine};
 use crate::bytecode::{Action, ModelSlot};
 use crate::ctxt::FieldId;
 use crate::dp::PrivacyLedger;
@@ -73,17 +72,10 @@ impl RmtMachine {
             let pipeline = (0..prog.tables.len())
                 .filter(|&i| prog.tables[i].hook == *hook)
                 .collect();
+            // The cache metadata is computed below, once the program is in.
             self.hook_index
                 .entry(hook.clone())
-                .or_insert_with(|| HookSlot {
-                    listeners: Vec::new(),
-                    fires: 0,
-                    hist: Log2Hist::new(),
-                    consumed: Vec::new(),
-                    eligible: true,
-                    key_stable: false,
-                    cache: DecisionCache::default(),
-                })
+                .or_default()
                 .listeners
                 .push((id, pipeline));
         }

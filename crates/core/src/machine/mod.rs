@@ -2,7 +2,7 @@
 //!
 //! [`RmtMachine`] owns installed programs and dispatches kernel hook
 //! events through their table pipelines (Figure 1's runtime): a hook
-//! fires with a populated [`Ctxt`]; each table installed at that hook
+//! fires with a populated [`crate::ctxt::Ctxt`]; each table installed at that hook
 //! extracts its match key (`RMT_MATCH_CTXT`), looks up the best entry,
 //! and runs the bound action — its verified, optimized, possibly
 //! chain-fused body — through the one interpreter
@@ -62,7 +62,7 @@ pub struct ProgId(pub u32);
 
 /// An inert compatibility tag. There is one execution engine —
 /// [`crate::interp::run_action`] over the bodies [`crate::opt`]
-/// produced — and [`OptLevel`] is the only selector of what executes;
+/// produced — and [`crate::opt::OptLevel`] is the only selector of what executes;
 /// the machine stores this tag with the program and round-trips it
 /// through snapshot and journal JSON (so both on-disk formats keep
 /// their shape) but never reads it. It survives only because the
@@ -188,6 +188,7 @@ struct Installed {
 /// Everything the machine keeps per hook name: the listener list plus
 /// this hook's observability state (stored here so the hot path pays a
 /// single hash lookup for both).
+#[derive(Default)]
 struct HookSlot {
     /// (program, its table pipeline at this hook: the indices of its
     /// tables registered here, in declaration order), in installation
