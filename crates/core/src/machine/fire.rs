@@ -376,7 +376,6 @@ impl FireCtx<'_> {
             let (outcome, fused) = self.dispatch(inst, action_id, arg, walk.chain, ctxt);
             match outcome {
                 Ok(outcome) => {
-                    let fused = fused.then_some(action_id);
                     if self
                         .apply_outcome(inst, &mut walk, fused, outcome, result)
                         .is_break()
@@ -442,7 +441,7 @@ impl FireCtx<'_> {
 
     /// Runs the body bound to `action_id` — the fused chain body when
     /// `FusedAction::is_live` says it may stand in, else the unfused
-    /// one; the flag says which.
+    /// one; `Some(action_id)` back says the fused body ran.
     fn dispatch(
         &mut self,
         inst: &mut Installed,
@@ -450,7 +449,7 @@ impl FireCtx<'_> {
         arg: i64,
         chain: usize,
         ctxt: &mut Ctxt,
-    ) -> (Result<ActionOutcome, VmError>, bool) {
+    ) -> (Result<ActionOutcome, VmError>, Option<ActionId>) {
         let ai = action_id.0 as usize;
         let fused = inst
             .fused
@@ -476,7 +475,10 @@ impl FireCtx<'_> {
             ml_stats: &mut inst.model_stats,
             time_ml: self.timed,
         };
-        (run_action(body, fuel, arg, &mut env), fused.is_some())
+        (
+            run_action(body, fuel, arg, &mut env),
+            fused.map(|_| action_id),
+        )
     }
 
     /// Lands one action's outcome: stats, verdicts (`fused` names the
