@@ -69,6 +69,7 @@ pub mod maps;
 pub mod obs;
 pub mod opt;
 pub mod prog;
+pub mod recency;
 pub mod shard;
 pub mod snapshot;
 pub mod spsc;

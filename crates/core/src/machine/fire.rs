@@ -98,6 +98,9 @@ pub(super) struct FireCtx<'a> {
     scratch_queue: &'a mut Vec<usize>,
     /// Reusable probe-key buffer (see [`RmtMachine::key_scratch`]).
     pub(super) key_scratch: &'a mut Vec<u64>,
+    /// Reusable table match-key buffer (see
+    /// [`RmtMachine::lookup_scratch`]).
+    lookup_scratch: &'a mut Vec<u64>,
     tick: u64,
     pub(super) table_gen: u64,
     pub(super) cache_cap: usize,
@@ -219,6 +222,7 @@ impl RmtMachine {
             obs: &mut self.obs,
             scratch_queue: &mut self.scratch_queue,
             key_scratch: &mut self.key_scratch,
+            lookup_scratch: &mut self.lookup_scratch,
             tick: self.tick,
             table_gen: self.table_gen,
             cache_cap: self.decision_cache_cap,
@@ -323,9 +327,9 @@ impl FireCtx<'_> {
         self.prev = t0;
         self.fire_span = self.span_begin_fire(&slot.consumed, ctxt);
         let probe_span = self.open_span(self.fire_span);
-        let mut cache = self.cache_probe(slot, ctxt);
+        let (listeners, mut cache) = self.cache_probe(slot, ctxt);
         self.close_span(probe_span, Stage::CacheProbe);
-        for (pid, pipeline) in &slot.listeners {
+        for (pid, pipeline) in listeners {
             let Some(inst) = programs.get_mut(pid) else {
                 continue;
             };
@@ -333,7 +337,7 @@ impl FireCtx<'_> {
             self.run_pipeline(inst, *pid, pipeline, &mut cache, ctxt, &mut result);
         }
         let finish_span = self.open_span(self.fire_span);
-        self.cache_finish(slot, cache);
+        self.cache_finish(cache);
         self.close_span(finish_span, Stage::CacheFinish);
         self.close_span(self.fire_span, Stage::Fire);
         if let (Some(start), Some(end)) = (t0, self.prev) {
@@ -352,7 +356,7 @@ impl FireCtx<'_> {
         inst: &mut Installed,
         pid: u32,
         pipeline: &[usize],
-        cache: &mut CacheRun,
+        cache: &mut CacheRun<'_>,
         ctxt: &mut Ctxt,
         result: &mut HookResult,
     ) {
@@ -402,30 +406,31 @@ impl FireCtx<'_> {
     }
 
     /// Match phase of one step: replay a validated cached step or
-    /// resolve live (recording if the cache missed), count the hit or
-    /// miss, and return the action to run with its argument (`None` =
-    /// miss with no default action).
+    /// resolve live (recording if the cache is recording), count the
+    /// hit or miss, and return the action to run with its argument
+    /// (`None` = miss with no default action). The live key goes into
+    /// the reusable lookup scratch, so a miss allocates nothing.
     fn resolve_step(
         &mut self,
         t: &Table,
         walk: &Walk,
-        cache: &mut CacheRun,
+        cache: &mut CacheRun<'_>,
         ctxt: &Ctxt,
     ) -> (Option<ActionId>, i64) {
         let entry = match cache.replay_next(walk.pid, walk.ti, t, ctxt) {
             Replayed::Step(entry) => entry,
             // Empty table: the default action fires regardless of the
             // key — skip extraction and memoize a key-independent step.
-            Replayed::Live(_) if cache.enabled && t.is_empty() => {
+            Replayed::Live if cache.enabled() && t.is_empty() => {
                 cache.record(walk.pid, walk.ti, None, None);
                 None
             }
-            Replayed::Live(key) => {
-                let key = key.unwrap_or_else(|| ctxt.key(&t.def().key_fields));
+            Replayed::Live => {
+                ctxt.key_into(&t.def().key_fields, self.lookup_scratch);
                 let span = self.open_span(walk.span);
-                let entry = t.resolve_indexed(&key).map(|(ei, _)| ei);
+                let entry = t.resolve_indexed(self.lookup_scratch).map(|(ei, _)| ei);
                 self.close_span(span, Stage::TableLookup);
-                cache.record(walk.pid, walk.ti, Some(key), entry);
+                cache.record(walk.pid, walk.ti, Some(self.lookup_scratch), entry);
                 entry
             }
         };

@@ -232,10 +232,13 @@ pub struct RmtMachine {
     /// Reusable pipeline queue — `fire` is allocation-free once this
     /// has grown to the deepest pipeline seen.
     scratch_queue: Vec<usize>,
-    /// Reusable decision-cache probe-key buffer — repeat flows hash
-    /// their consumed fields without allocating (the key is cloned
-    /// only when a miss inserts a new cache entry).
+    /// Reusable decision-cache probe-key buffer — every flow hashes
+    /// its consumed fields without allocating (an inserted key is
+    /// copied into the hook's slab).
     key_scratch: Vec<u64>,
+    /// Reusable table match-key buffer — a live lookup extracts its
+    /// key here instead of allocating one.
+    lookup_scratch: Vec<u64>,
     /// Table generation: bumped on every control-plane table/model
     /// mutation; cached decisions recorded under an older generation
     /// are stale and never replayed.
@@ -267,6 +270,7 @@ impl RmtMachine {
             obs: Obs::new(cfg),
             scratch_queue: Vec::new(),
             key_scratch: Vec::new(),
+            lookup_scratch: Vec::new(),
             table_gen: 0,
             decision_cache_cap: DEFAULT_DECISION_CACHE_CAP,
         }

@@ -521,7 +521,7 @@ impl RmtMachine {
         m.tick = snap.tick;
         m.next_id = snap.next_id.max(last_id.saturating_add(1)).max(1);
         m.table_gen = snap.table_generation;
-        m.decision_cache_cap = snap.decision_cache_cap;
+        m.set_decision_cache_capacity(snap.decision_cache_cap);
         m.obs = Obs::import_state(snap.obs);
         // Fused chain bodies were specialized during install against
         // each program's seed entries and stamped before the snapshot
