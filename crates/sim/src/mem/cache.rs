@@ -6,6 +6,7 @@
 //! Table 1's accuracy metric requires (a prefetched page evicted
 //! untouched is wasted; a first touch converts it to useful).
 
+use rkd_core::recency::RecencyList;
 use std::collections::HashMap;
 
 /// Why a page became resident.
@@ -31,35 +32,25 @@ pub enum AccessKind {
     Miss,
 }
 
-/// Index value meaning "no slot" in the recency list.
-const NIL: u32 = u32::MAX;
-
-/// One resident page, linked into the recency list.
+/// One resident page.
 #[derive(Clone, Debug)]
 struct Slot {
     page: u64,
     residency: Residency,
-    /// Neighbour toward the most recently used end.
-    newer: u32,
-    /// Neighbour toward the least recently used end.
-    older: u32,
 }
 
 /// An LRU page cache with prefetch accounting.
 ///
-/// Recency is a doubly linked list threaded through a slab of slots: a
-/// touch relinks one slot at the head and a fill reuses the tail's, so
-/// every operation is O(1) however large the cache is.
+/// Recency is a [`RecencyList`] over a slab of slots: a touch relinks
+/// one slot at the front and a fill reuses the least recently used
+/// one, so every operation is O(1) however large the cache is.
 #[derive(Clone, Debug)]
 pub struct PageCache {
     capacity: usize,
     /// page -> slot index.
     index: HashMap<u64, u32>,
     slots: Vec<Slot>,
-    /// Most recently used slot.
-    head: u32,
-    /// Least recently used slot: the next victim.
-    tail: u32,
+    recency: RecencyList,
     /// Resident prefetched pages not yet touched.
     untouched: u64,
     /// Prefetched pages evicted without ever being touched.
@@ -75,15 +66,14 @@ impl PageCache {
     pub fn new(capacity: usize) -> PageCache {
         assert!(capacity > 0, "page cache capacity must be nonzero");
         assert!(
-            capacity < NIL as usize,
+            capacity < u32::MAX as usize,
             "page cache capacity must fit a 32-bit slot index"
         );
         PageCache {
             capacity,
             index: HashMap::new(),
             slots: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            recency: RecencyList::new(),
             untouched: 0,
             wasted_evictions: 0,
         }
@@ -111,8 +101,7 @@ impl PageCache {
             self.insert(page, Residency::Demand);
             return AccessKind::Miss;
         };
-        self.unlink(slot);
-        self.push_head(slot);
+        self.recency.touch(slot);
         let residency = &mut self.slots[slot as usize].residency;
         if *residency == Residency::PrefetchedUntouched {
             *residency = Residency::PrefetchedUsed;
@@ -148,56 +137,30 @@ impl PageCache {
     /// Makes an absent page the most recently used one, evicting the
     /// least recently used page when the cache is full.
     fn insert(&mut self, page: u64, residency: Residency) {
-        let slot = if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                page,
-                residency,
-                newer: NIL,
-                older: NIL,
-            });
-            (self.slots.len() - 1) as u32
-        } else {
-            let slot = self.tail;
-            self.unlink(slot);
-            let victim = &mut self.slots[slot as usize];
-            self.index.remove(&victim.page);
-            if victim.residency == Residency::PrefetchedUntouched {
-                self.wasted_evictions += 1;
-                self.untouched -= 1;
+        let full = self.slots.len() == self.capacity;
+        let slot = match self.recency.back().filter(|_| full) {
+            Some(slot) => {
+                let victim = &mut self.slots[slot as usize];
+                self.index.remove(&victim.page);
+                if victim.residency == Residency::PrefetchedUntouched {
+                    self.wasted_evictions += 1;
+                    self.untouched -= 1;
+                }
+                *victim = Slot { page, residency };
+                self.recency.touch(slot);
+                slot
             }
-            victim.page = page;
-            victim.residency = residency;
-            slot
+            None => {
+                self.slots.push(Slot { page, residency });
+                let slot = (self.slots.len() - 1) as u32;
+                self.recency.push_front(slot);
+                slot
+            }
         };
         if residency == Residency::PrefetchedUntouched {
             self.untouched += 1;
         }
         self.index.insert(page, slot);
-        self.push_head(slot);
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let Slot { newer, older, .. } = self.slots[slot as usize];
-        match newer {
-            NIL => self.head = older,
-            n => self.slots[n as usize].older = older,
-        }
-        match older {
-            NIL => self.tail = newer,
-            o => self.slots[o as usize].newer = newer,
-        }
-    }
-
-    fn push_head(&mut self, slot: u32) {
-        let old_head = self.head;
-        let s = &mut self.slots[slot as usize];
-        s.newer = NIL;
-        s.older = old_head;
-        match old_head {
-            NIL => self.tail = slot,
-            h => self.slots[h as usize].newer = slot,
-        }
-        self.head = slot;
     }
 }
 

@@ -286,6 +286,44 @@ prop_check!(ring_buffer_matches_model, cases = 512, |g| {
     assert_eq!(real.ring_snapshot(), expect);
 });
 
+prop_check!(ring_buffer_push_pop_matches_model, cases = 512, |g| {
+    // Reference: a `VecDeque` ring. Pushes, pops and indexed reads in
+    // any order, before and after the storage has grown to capacity,
+    // and a snapshot round trip at the end.
+    let cap = g.gen_range(1usize..6);
+    let ops = g.vec_of(0, 59, |g| (g.gen_range(0u8..3), g.gen_range(-100i64..100)));
+    let mut real = MapInstance::new(&MapDef {
+        name: "r".into(),
+        kind: MapKind::RingBuf,
+        capacity: cap,
+        shared: false,
+        per_cpu: false,
+    })
+    .unwrap();
+    let mut model: std::collections::VecDeque<i64> = Default::default();
+    for (op, v) in ops {
+        match op {
+            0 => {
+                real.update(0, v).unwrap();
+                if model.len() == cap {
+                    model.pop_front();
+                }
+                model.push_back(v);
+            }
+            1 => assert_eq!(real.delete(0), model.pop_front().is_some()),
+            _ => {
+                let i = v.unsigned_abs() % 7;
+                assert_eq!(real.lookup(i), model.get(i as usize).copied());
+            }
+        }
+        assert_eq!(real.len(), model.len());
+        assert_eq!(real.ring_snapshot(), Vec::from(model.clone()));
+    }
+    let back = MapInstance::import_state(real.export_state()).unwrap();
+    assert_eq!(back.ring_snapshot(), real.ring_snapshot());
+    assert_eq!(back.capacity(), cap);
+});
+
 /// `QuantLayer::forward` as it was before the hoisted-scale kernel: a
 /// three-factor `i128` product per MAC. Kept here as the oracle.
 fn oracle_forward(l: &QuantLayer, x: &[Fix]) -> Vec<Fix> {
