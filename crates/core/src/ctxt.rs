@@ -141,18 +141,9 @@ impl Ctxt {
     }
 
     /// Extracts the match-key values for a list of fields, as unsigned
-    /// words (the match engine's key type). Missing fields read as 0 so
-    /// that key extraction is total.
-    pub fn key(&self, fields: &[FieldId]) -> Vec<u64> {
-        fields
-            .iter()
-            .map(|f| self.get(*f).unwrap_or(0) as u64)
-            .collect()
-    }
-
-    /// [`Ctxt::key`] into a caller-owned buffer — the fire path reuses
-    /// one scratch buffer per machine so the decision-cache probe stays
-    /// allocation-free on repeat flows.
+    /// words (the match engine's key type), into a caller-owned buffer —
+    /// the fire path reuses scratch buffers so it never allocates a key.
+    /// Missing fields read as 0 so that key extraction is total.
     pub fn key_into(&self, fields: &[FieldId], out: &mut Vec<u64>) {
         out.clear();
         out.extend(fields.iter().map(|f| self.get(*f).unwrap_or(0) as u64));
@@ -202,7 +193,8 @@ mod tests {
     #[test]
     fn key_extraction_is_total() {
         let c = Ctxt::from_values(vec![10, -1]);
-        let key = c.key(&[FieldId(0), FieldId(1), FieldId(7)]);
+        let mut key = vec![99];
+        c.key_into(&[FieldId(0), FieldId(1), FieldId(7)], &mut key);
         assert_eq!(key, vec![10, (-1i64) as u64, 0]);
     }
 
