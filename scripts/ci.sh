@@ -191,6 +191,12 @@ if grep -rnE 'too_many_arguments|enum Listeners|pipeline_scratch' crates/core/sr
     exit 1
 fi
 
+echo "==> one recency list: the decision cache and the maps keep no queue of their own"
+if grep -nE 'VecDeque|fifo|lru_touch' crates/core/src/machine/cache.rs crates/core/src/maps.rs; then
+    echo "ERROR: a second recency structure is back (both use rkd_core::recency::RecencyList)" >&2
+    exit 1
+fi
+
 echo "==> dependency closure must be workspace-only"
 external=$(cargo tree --offline --workspace --edges normal,build,dev \
     | grep -oE '[a-z0-9_-]+ v[0-9][0-9.]*' | sort -u | grep -v '^rkd' || true)

@@ -2,11 +2,12 @@
 # Order-alternated parent/change pairs of the repo benchmark — the table
 # ROADMAP standing constraint (ii) asks every PR to report.
 #
-#   scripts/pairs.sh [parent-rev] [pairs] [seconds]
+#   scripts/pairs.sh [parent-rev] [pairs] [seconds] [seed]
 #
 #   parent-rev  commit to compare the checkout against (default HEAD)
 #   pairs       pairs per workload (default 10)
 #   seconds     run length (default BENCHMARK.json's run_seconds)
+#   seed        the benchmark's --seed (default: the benchmark's own)
 #
 # The parent is exported with `git archive` into $PAIRS_DIR (default
 # target/pairs, already git-ignored) and both sides' bench/ binaries are
@@ -24,6 +25,7 @@ cd "$(dirname "$0")/.."
 rev="$(git rev-parse --verify "${1:-HEAD}^{commit}")"
 pairs="${2:-10}"
 seconds="${3:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
+seed="${4:-}"
 dir="${PAIRS_DIR:-target/pairs}"
 workloads="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
 
@@ -40,7 +42,7 @@ cargo build --release --offline --quiet \
 
 run() { # side pair workload
     "$dir/$1-target/release/rkd-perfbench" --workload "$3" --seconds "$seconds" --trace 0 \
-        --out "$dir/runs/out-$1" | tail -n 1 >"$dir/runs/$3-$2-$1.json"
+        ${seed:+--seed "$seed"} --out "$dir/runs/out-$1" | tail -n 1 >"$dir/runs/$3-$2-$1.json"
 }
 
 for i in $(seq 1 "$pairs"); do
@@ -56,12 +58,12 @@ for i in $(seq 1 "$pairs"); do
     echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$dir/runs" "$pairs" "$seconds" "$(git rev-parse --short "$rev")" <<'EOF'
+python3 - "$dir/runs" "$pairs" "$seconds" "$(git rev-parse --short "$rev")" "${seed:-default}" <<'EOF'
 import json, statistics, sys
 
-runs_dir, pairs, seconds, rev = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+runs_dir, pairs, seconds, rev, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
 spec = json.load(open("BENCHMARK.json"))
-print(f"parent {rev} vs checkout: {pairs} order-alternated pairs of {seconds} s per workload")
+print(f"parent {rev} vs checkout: {pairs} order-alternated pairs of {seconds} s per workload, seed {seed}")
 print(f"{'workload':15} {'metric':21} {'parent p50':>12} {'change p50':>12} {'worse by':>9} "
       f"{'parent iqr':>10} {'wins':>6} {'bound':>6}  verdict")
 bad = False
