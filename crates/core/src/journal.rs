@@ -10,8 +10,8 @@
 //!   serialized (through the hermetic JSON codec) as one
 //!   [`JournalRecord`] line and fsync'd *before* it is applied, so the
 //!   on-disk journal is always a superset of the applied state.
-//! - **Snapshot compaction** — a periodic [`Checkpoint`] captures the
-//!   full [`MachineSnapshot`] (datapath state included) with the
+//! - **Snapshot compaction** — an on-demand [`Checkpoint`] captures
+//!   the full [`MachineSnapshot`] (datapath state included) with the
 //!   journal sequence number it covers, written tmp+rename so a crash
 //!   never leaves a half-written checkpoint. Compaction then truncates
 //!   the journal; replay deduplicates by sequence number, so a crash
@@ -30,7 +30,7 @@
 use crate::ctrl::{syscall_rmt_with, CtrlRequest, CtrlResponse};
 use crate::error::VmError;
 use crate::machine::{MachineSnapshot, RmtMachine};
-use crate::obs::span::Stage;
+use crate::obs::span::{SpanCollector, Stage};
 use crate::snapshot::{from_json_str, to_json_string};
 use crate::verifier::VerifierConfig;
 use std::fs::{self, File, OpenOptions};
@@ -232,31 +232,32 @@ impl CtrlJournal {
     }
 
     /// Appends one request, fsyncs, and returns its sequence number.
-    /// When this returns, the record is durable.
-    pub fn append(&mut self, req: &CtrlRequest) -> Result<u64, JournalError> {
-        self.append_timed(req).map(|(seq, _, _)| seq)
-    }
-
-    /// [`CtrlJournal::append`] plus timing: returns `(seq, write_ns,
-    /// sync_ns)` — how long the serialized buffered write and the
-    /// `sync_data` each took, feeding the span layer's
-    /// `JournalAppend`/`JournalFsync` stages.
-    pub fn append_timed(&mut self, req: &CtrlRequest) -> Result<(u64, u64, u64), JournalError> {
+    /// When this returns, the record is durable. The serialized write
+    /// and the `sync_data` are recorded into `spans` as one
+    /// `JournalAppend` and one `JournalFsync` span, in that order.
+    pub fn append(
+        &mut self,
+        req: &CtrlRequest,
+        spans: &mut SpanCollector,
+    ) -> Result<u64, JournalError> {
         let seq = self.next_seq;
         let rec = JournalRecord {
             seq,
             req: req.clone(),
         };
-        let t0 = std::time::Instant::now();
+        let t0 = spans.now_ns();
         let mut line = to_json_string(&rec);
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
-        let write_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = std::time::Instant::now();
+        let t1 = spans.now_ns();
         self.file.sync_data()?;
-        let sync_ns = t1.elapsed().as_nanos() as u64;
+        let t2 = spans.now_ns();
         self.next_seq = seq + 1;
-        Ok((seq, write_ns, sync_ns))
+        let id = spans.alloc_id();
+        spans.record(0, id, 0, Stage::JournalAppend, t0, t1);
+        let id = spans.alloc_id();
+        spans.record(0, id, 0, Stage::JournalFsync, t1, t2);
+        Ok(seq)
     }
 
     /// Sequence number the next append will get.
@@ -315,8 +316,8 @@ pub fn read_checkpoint(path: &Path) -> Result<Option<Checkpoint>, JournalError> 
 
 /// A [`RmtMachine`] whose control plane is durable: every mutating
 /// request is journaled (write-ahead, fsync'd) before it is applied,
-/// and periodic checkpoints bound replay time. Datapath access
-/// (firing hooks, advancing ticks) goes through
+/// and [`JournaledMachine::compact`] checkpoints bound replay time.
+/// Datapath access (firing hooks, advancing ticks) goes through
 /// [`JournaledMachine::machine_mut`] and is *not* journaled — datapath
 /// state rides along in checkpoints, and the embedding's own decision
 /// log replays post-checkpoint traffic (see `tests/recovery.rs`).
@@ -327,10 +328,6 @@ pub struct JournaledMachine {
     checkpoint_path: PathBuf,
     /// Journal seq covered by the newest checkpoint.
     checkpoint_seq: u64,
-    /// Mutations applied since the newest checkpoint.
-    since_checkpoint: u64,
-    /// Auto-compact after this many journaled mutations (0 = manual).
-    compact_every: u64,
 }
 
 /// File name of the journal inside a [`JournaledMachine`] directory.
@@ -364,8 +361,6 @@ impl JournaledMachine {
             journal,
             checkpoint_path,
             checkpoint_seq: 0,
-            since_checkpoint: 0,
-            compact_every: 0,
         })
     }
 
@@ -383,13 +378,11 @@ impl JournaledMachine {
         };
         let journal_path = dir.join(JOURNAL_FILE);
         let contents = read_journal(&journal_path)?;
-        let mut replayed = 0u64;
         for rec in contents.records {
             if rec.seq <= checkpoint_seq {
                 continue; // Already folded into the checkpoint.
             }
             let _ = syscall_rmt_with(&mut machine, rec.req, &vcfg);
-            replayed += 1;
         }
         let journal = CtrlJournal::open(&journal_path)?;
         Ok(JournaledMachine {
@@ -398,39 +391,17 @@ impl JournaledMachine {
             journal,
             checkpoint_path,
             checkpoint_seq,
-            since_checkpoint: replayed,
-            compact_every: 0,
         })
     }
 
     /// Dispatches one control-plane request. Mutations hit the journal
     /// (fsync'd) *before* they touch the machine; read-only requests
-    /// bypass the journal entirely. When `compact_every` is set, a
-    /// checkpoint is taken automatically once enough mutations
-    /// accumulate.
+    /// bypass the journal entirely.
     pub fn ctrl(&mut self, req: CtrlRequest) -> Result<CtrlResponse, JournalError> {
         if is_mutation(&req) {
-            let t0 = self.machine.span_now_ns();
-            let (_seq, write_ns, sync_ns) = self.journal.append_timed(&req)?;
-            let spans = self.machine.spans_mut();
-            let id = spans.alloc_id();
-            spans.record(0, id, 0, Stage::JournalAppend, t0, t0 + write_ns);
-            let id = spans.alloc_id();
-            spans.record(
-                0,
-                id,
-                0,
-                Stage::JournalFsync,
-                t0 + write_ns,
-                t0 + write_ns + sync_ns,
-            );
-            self.since_checkpoint += 1;
+            self.journal.append(&req, self.machine.spans_mut())?;
         }
-        let resp = syscall_rmt_with(&mut self.machine, req, &self.vcfg).map_err(JournalError::Vm);
-        if self.compact_every > 0 && self.since_checkpoint >= self.compact_every {
-            self.compact()?;
-        }
-        resp
+        syscall_rmt_with(&mut self.machine, req, &self.vcfg).map_err(JournalError::Vm)
     }
 
     /// Takes a checkpoint of the current state and truncates the
@@ -449,17 +420,11 @@ impl JournaledMachine {
         )?;
         self.journal.truncate()?;
         self.checkpoint_seq = seq;
-        self.since_checkpoint = 0;
         let end = self.machine.span_now_ns();
         let spans = self.machine.spans_mut();
         let id = spans.alloc_id();
         spans.record(0, id, 0, Stage::JournalCompact, t0, end);
         Ok(())
-    }
-
-    /// Auto-compact after `n` journaled mutations (0 disables).
-    pub fn set_compact_every(&mut self, n: u64) {
-        self.compact_every = n;
     }
 
     /// Journal seq covered by the newest checkpoint.

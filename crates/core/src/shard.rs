@@ -8,23 +8,24 @@
 //! contention-free — no lock, no atomic, no shared cache line on the
 //! hot path. Everything cross-shard happens on the control plane:
 //!
-//! - **Epoch-published control plane** — every mutating
-//!   [`CtrlRequest`] is appended to a sequenced command log and
-//!   announced through one atomic publish counter. Shards notice the
-//!   counter at *fire boundaries* (before each batch) and drain the
-//!   log in order, so reconfiguration never stops the datapath and
-//!   every shard converges to the same table/model generation. A
-//!   never-firing *shadow replica* applies each mutation first,
-//!   giving the caller a synchronous result (and [`ProgId`]
-//!   assignment) that is deterministic across replicas.
+//! - **Ring-ordered control plane** — every mutating [`CtrlRequest`]
+//!   applies first to a never-firing *shadow replica*, giving the
+//!   caller a synchronous result (and [`ProgId`] assignment) that is
+//!   deterministic across replicas. It then rides every shard's
+//!   ingress ring as one message, between the batches around it, so
+//!   each shard applies it exactly where it was published in that
+//!   shard's message order. Reconfiguration never stops the datapath,
+//!   every shard converges to the same table/model generation, and the
+//!   only record of an in-flight command is its ring slot: replication
+//!   memory is bounded by ring capacity.
 //! - **Per-CPU maps** — a [`MapDef`](crate::maps::MapDef) with
 //!   `per_cpu` set mirrors eBPF's `PERCPU_HASH`/`PERCPU_ARRAY`:
 //!   datapath writes land in the firing shard's replica only;
 //!   control-plane reads ([`CtrlRequest::MapLookup`]) sum the value
 //!   per key across shards. Non-per-CPU maps are *shard-private*:
 //!   reads route to shard 0 (documented, not linearizable across
-//!   shards). Control-plane writes ([`CtrlRequest::MapUpdate`]) go
-//!   through the log and therefore apply to every replica.
+//!   shards). Control-plane writes ([`CtrlRequest::MapUpdate`]) ride
+//!   the rings and therefore apply to every replica.
 //! - **Merged telemetry** — [`ShardedMachine::obs_snapshot`] merges
 //!   per-shard snapshots into one standard
 //!   [`ObsSnapshot`](crate::obs::ObsSnapshot), so the Prometheus/JSON
@@ -33,17 +34,22 @@
 //!
 //! ## What is and isn't linearizable
 //!
-//! Mutations are linearizable against each other (single append
-//! point, single total order) but *asynchronous* with respect to the
-//! datapath: a shard keeps firing under the old configuration until
-//! its next fire boundary. [`ShardedMachine::sync`] is the barrier
-//! that forces every shard to the published epoch. Per-shard apply
-//! errors that depend on datapath state (e.g. a `MapUpdate` hitting a
-//! hash map one shard filled) are absorbed and counted per shard
-//! ([`ShardStatus::ctrl_apply_errors`]); errors determinable from
-//! control state alone (verification, unknown ids, arity) are
-//! reported synchronously by [`ShardedMachine::ctrl`] and never enter
-//! the log.
+//! Mutations are linearizable against each other: publishers serialize
+//! on the shadow lock and push into every ring while holding it, so
+//! every shard sees the same command order. Against the datapath the
+//! order is exact per message: a batch submitted before a publish never
+//! sees that publish, and a batch submitted after it returns always
+//! does. A publish is still *asynchronous* — it returns once the
+//! command is queued, and a shard applies it when it reaches it in its
+//! ring. [`ShardedMachine::sync`] is the barrier that waits until every
+//! shard has. The backpressure is the ring's: a publish waits for one
+//! free slot in every shard's ring, just as a batch does. Per-shard
+//! apply errors that depend on datapath state (e.g. a `MapUpdate`
+//! hitting a hash map one shard filled) are absorbed and counted per
+//! shard ([`ShardStatus::ctrl_apply_errors`]); errors determinable
+//! from control state alone (verification, unknown ids, arity) are
+//! reported synchronously by [`ShardedMachine::ctrl`] and never reach
+//! a shard.
 //!
 //! ## Reproducibility
 //!
@@ -67,14 +73,15 @@ use crate::table::TableStats;
 use crate::verifier::VerifierConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Ingress ring capacity per shard (messages, power of two). Sized so
 /// a replay driver can keep a deep pipeline of batches in flight
-/// before backpressure (a full ring spins the driver, it never
-/// blocks a shard).
+/// before backpressure (a full ring spins the driver or publisher, it
+/// never blocks a shard). It also bounds how many published commands
+/// a shard can lag behind.
 const INGRESS_RING_CAPACITY: usize = 1024;
 
 /// Default skew-balancer policy: rebalance when the deepest ingress
@@ -82,19 +89,6 @@ const INGRESS_RING_CAPACITY: usize = 1024;
 /// `min_depth` messages (see [`ShardedMachine::should_rebalance`]).
 const DEFAULT_BALANCER_RATIO_PCT: u64 = 200;
 const DEFAULT_BALANCER_MIN_DEPTH: u64 = 32;
-
-/// The sequenced command log shards drain at fire boundaries.
-struct CtrlLog {
-    /// Number of commands published; shards compare against their
-    /// applied count with one relaxed-cost atomic load per batch.
-    published: AtomicU64,
-    /// The commands themselves. Locked only to append (coordinator)
-    /// and to clone a pending suffix (shard catching up) — never on
-    /// the fire path itself.
-    cmds: Mutex<Vec<CtrlRequest>>,
-    /// Verifier configuration every replica re-verifies installs with.
-    vcfg: VerifierConfig,
-}
 
 /// What a worker thread receives.
 enum Msg {
@@ -107,10 +101,13 @@ enum Msg {
         span: Option<BatchSpan>,
         reply: Sender<BatchOutput>,
     },
+    /// Apply one published control-plane mutation (boxed so the
+    /// ring's slot size stays that of a batch).
+    Ctrl(Box<CtrlRequest>),
     /// Run an arbitrary closure against the shard's machine (the
     /// coordinator's read path).
     With(Box<dyn FnOnce(&mut RmtMachine) + Send>),
-    /// Drain the log and report convergence state.
+    /// Report convergence state.
     Sync { reply: Sender<ShardStatus> },
     /// Exit the worker loop.
     Shutdown,
@@ -126,9 +123,9 @@ struct BatchOutput {
 pub struct ShardStatus {
     /// Shard index.
     pub shard: usize,
-    /// Commands applied from the log (== published after a sync).
+    /// Commands applied from the ring (== published after a sync).
     pub applied: u64,
-    /// Logged commands whose apply failed on this shard (absorbed;
+    /// Published commands whose apply failed on this shard (absorbed;
     /// see the module docs on asynchronous control-plane semantics).
     pub ctrl_apply_errors: u64,
     /// The shard machine's table generation — equal across all shards
@@ -168,11 +165,14 @@ impl BatchTicket {
     }
 }
 
-/// N datapath shards plus the epoch-published control plane. See the
+/// N datapath shards plus the ring-ordered control plane. See the
 /// module docs for the architecture.
 pub struct ShardedMachine {
     shards: Vec<ShardHandle>,
-    log: Arc<CtrlLog>,
+    /// Commands published so far (incremented under the shadow lock).
+    published: AtomicU64,
+    /// Verifier configuration every replica re-verifies installs with.
+    vcfg: VerifierConfig,
     /// Current flow→shard partition seed, folded into
     /// [`ShardedMachine::shard_for_flow`]. Updated only through the
     /// published (and journaled) [`CtrlRequest::SetPartitionSeed`]
@@ -222,16 +222,11 @@ impl ShardedMachine {
     /// verifier configurations (applied to every replica).
     pub fn with_config(shards: usize, obs: ObsConfig, vcfg: VerifierConfig) -> ShardedMachine {
         let n = shards.max(1);
-        let log = Arc::new(CtrlLog {
-            published: AtomicU64::new(0),
-            cmds: Mutex::new(Vec::new()),
-            vcfg,
-        });
         let epoch = Instant::now();
         let mut handles = Vec::with_capacity(n);
         for shard in 0..n {
             let (tx, rx) = spsc::ring::<Msg>(INGRESS_RING_CAPACITY);
-            let log = Arc::clone(&log);
+            let vcfg = vcfg.clone();
             let mut machine = RmtMachine::with_obs_config(obs);
             // One shared epoch, a per-replica span-id namespace, and
             // ingress-owned sampling (replicas never self-sample:
@@ -240,7 +235,7 @@ impl ShardedMachine {
             let ring_obs = tx.observer();
             let join = std::thread::Builder::new()
                 .name(format!("rkd-shard-{shard}"))
-                .spawn(move || worker(shard, machine, &log, rx))
+                .spawn(move || worker(shard, machine, &vcfg, rx))
                 .expect("spawn shard worker");
             handles.push(ShardHandle {
                 tx: Mutex::new(tx),
@@ -254,7 +249,8 @@ impl ShardedMachine {
         shadow.align_span_identity(n as u64, epoch, false);
         ShardedMachine {
             shards: handles,
-            log,
+            published: AtomicU64::new(0),
+            vcfg,
             partition: AtomicU64::new(0),
             rebalances: AtomicU64::new(0),
             balancer_ratio_pct: AtomicU64::new(DEFAULT_BALANCER_RATIO_PCT),
@@ -301,7 +297,7 @@ impl ShardedMachine {
     }
 
     /// Recovers a sharded machine from a control-plane journal:
-    /// republishes every journaled command through the normal epoch
+    /// republishes every journaled command through the normal publish
     /// path, so the shadow and all shards converge to the pre-crash
     /// configuration (**shard-0 semantics** — per-shard datapath state
     /// such as per-CPU map contents is not persisted; it reaccumulates
@@ -348,9 +344,9 @@ impl ShardedMachine {
 
     /// Submits a batch of contexts to one shard's datapath without
     /// blocking — this is what lets one driver thread keep every
-    /// shard busy. The shard drains any pending control-plane
-    /// commands first (the fire boundary), then runs
-    /// [`RmtMachine::fire_batch`].
+    /// shard busy. The shard runs [`RmtMachine::fire_batch`] after
+    /// every command published before this call and before any
+    /// command published after it.
     pub fn fire_batch_on(&self, shard: usize, hook: &str, ctxts: Vec<Ctxt>) -> BatchTicket {
         let (reply, rx) = channel();
         let span = self.sample_ingress(&ctxts);
@@ -418,8 +414,8 @@ impl ShardedMachine {
     ///
     /// Mutations apply to the shadow replica synchronously (reporting
     /// any deterministic error without publishing anything), then
-    /// enter the command log for every shard to drain at its next
-    /// fire boundary. Reads aggregate across shards — see
+    /// enter every shard's ingress ring behind the messages already
+    /// queued there. Reads aggregate across shards — see
     /// [`CtrlRequest`] routing notes in the module docs.
     /// `ReportOutcome` is shard-targeted telemetry and routes to
     /// shard 0; use [`ShardedMachine::report_outcome_on`] to credit
@@ -579,40 +575,28 @@ impl ShardedMachine {
         }
     }
 
-    /// Applies a mutation to the shadow replica, then publishes it.
-    /// The shadow lock is held across the log append so concurrent
-    /// publishers cannot reorder the log against shadow state (lock
-    /// order: shadow, then cmds).
+    /// Applies a mutation to the shadow replica, then publishes it
+    /// into every shard's ring. The shadow lock is held across the
+    /// pushes so concurrent publishers cannot reorder the rings
+    /// against shadow state or against each other (lock order:
+    /// shadow, then a ring's producer).
     fn publish(&self, req: CtrlRequest) -> Result<CtrlResponse, VmError> {
         let mut shadow = self.shadow.lock().expect("shadow poisoned");
-        // Write-ahead: the journal is a superset of the applied log. A
-        // journaled command whose shadow apply fails below replays to
-        // the same deterministic no-op on recovery.
+        // Write-ahead: the journal is a superset of the applied
+        // commands. A journaled command whose shadow apply fails below
+        // replays to the same deterministic no-op on recovery.
         if let Some(journal) = &self.journal {
-            let t0 = shadow.span_now_ns();
-            let (_seq, write_ns, sync_ns) = journal
+            journal
                 .lock()
                 .expect("journal poisoned")
-                .append_timed(&req)
+                .append(&req, shadow.spans_mut())
                 .map_err(|e| VmError::BadRequest(format!("ctrl journal: {e}")))?;
-            let spans = shadow.spans_mut();
-            let id = spans.alloc_id();
-            spans.record(0, id, 0, Stage::JournalAppend, t0, t0 + write_ns);
-            let id = spans.alloc_id();
-            spans.record(
-                0,
-                id,
-                0,
-                Stage::JournalFsync,
-                t0 + write_ns,
-                t0 + write_ns + sync_ns,
-            );
         }
-        let resp = syscall_rmt_with(&mut shadow, req.clone(), &self.log.vcfg)?;
+        let resp = syscall_rmt_with(&mut shadow, req.clone(), &self.vcfg)?;
         // Coordinator-side directives: the shard replicas apply these
         // as no-ops, but the coordinator's partition/balancer state
         // updates here — inside the shadow lock, so the seed and the
-        // log stay ordered — and is therefore restored by recovery's
+        // rings stay ordered — and is therefore restored by recovery's
         // journal replay like every other mutation.
         match &req {
             CtrlRequest::SetPartitionSeed { seed } => {
@@ -635,11 +619,11 @@ impl ShardedMachine {
             }
             _ => {}
         }
-        let mut cmds = self.log.cmds.lock().expect("ctrl log poisoned");
-        cmds.push(req);
-        self.log
-            .published
-            .store(cmds.len() as u64, Ordering::Release);
+        for shard in 1..self.shards.len() {
+            self.send(shard, Msg::Ctrl(Box::new(req.clone())));
+        }
+        self.send(0, Msg::Ctrl(Box::new(req)));
+        self.published.fetch_add(1, Ordering::Release);
         Ok(resp)
     }
 
@@ -778,8 +762,9 @@ impl ShardedMachine {
         let _ = self.collect(move |m| m.advance_tick(by));
     }
 
-    /// Barrier: forces every shard to drain the command log to the
-    /// published epoch and reports per-shard convergence state. After
+    /// Barrier: waits until every shard has applied every command
+    /// published before the call and reports per-shard convergence
+    /// state. After
     /// `sync` returns, every [`ShardStatus::table_generation`] equals
     /// [`ShardedMachine::expected_generation`].
     pub fn sync(&self) -> Vec<ShardStatus> {
@@ -804,9 +789,9 @@ impl ShardedMachine {
             .table_generation()
     }
 
-    /// Commands published to the log so far.
+    /// Commands published so far.
     pub fn published(&self) -> u64 {
-        self.log.published.load(Ordering::Acquire)
+        self.published.load(Ordering::Acquire)
     }
 
     /// The current flow→shard partition seed (0 until the first
@@ -869,9 +854,9 @@ impl ShardedMachine {
 
     /// Rotates the partition seed (golden-ratio increment — each
     /// generation is a fresh, deterministic re-hash of every flow)
-    /// through the published command log, so the rotation is
-    /// sequenced — and journaled — like every other control-plane
-    /// mutation. Returns the new seed.
+    /// through the publish path, so the rotation is sequenced — and
+    /// journaled — like every other control-plane mutation. Returns
+    /// the new seed.
     ///
     /// **Driver contract:** the caller must quiesce its in-flight
     /// batches (wait on every outstanding [`BatchTicket`]) *before*
@@ -895,8 +880,9 @@ impl ShardedMachine {
     }
 
     /// Runs `f` against one shard's machine and waits for the result.
-    /// The worker drains the log first, so reads see every published
-    /// mutation (read-your-writes for the coordinator).
+    /// Every command published before the call precedes `f` in the
+    /// shard's ring, so reads see it (read-your-writes for the
+    /// coordinator).
     fn with_shard<R, F>(&self, shard: usize, f: F) -> R
     where
         R: Send + 'static,
@@ -966,14 +952,15 @@ fn transpose<T>(results: Vec<Result<T, VmError>>) -> Result<Vec<T>, VmError> {
 }
 
 /// The shard worker loop: pop a *run* of queued messages from the
-/// ingress ring, drain the command log **once per run** (the
-/// per-batch epoch amortization — the old mpsc loop paid the atomic
-/// load and potential log catch-up per message), then serve every
-/// message in the run. Messages pushed after the pop are picked up
-/// by the next run; a publish that happened-before a message's push
-/// is always visible to the drain that precedes serving it, so the
-/// coordinator keeps read-your-writes.
-fn worker(shard: usize, mut machine: RmtMachine, log: &CtrlLog, mut rx: spsc::Consumer<Msg>) {
+/// ingress ring and serve them in ring order. Control-plane commands
+/// are ring messages like batches, so each one applies exactly
+/// between the batches that were submitted around its publish.
+fn worker(
+    shard: usize,
+    mut machine: RmtMachine,
+    vcfg: &VerifierConfig,
+    mut rx: spsc::Consumer<Msg>,
+) {
     let mut applied = 0u64;
     let mut ctrl_errors = 0u64;
     let mut run: Vec<Msg> = Vec::new();
@@ -999,14 +986,6 @@ fn worker(shard: usize, mut machine: RmtMachine, log: &CtrlLog, mut rx: spsc::Co
                 end.saturating_sub(waited_ns),
                 end,
             );
-        }
-        if log.published.load(Ordering::Acquire) > applied {
-            let t0 = machine.span_now_ns();
-            drain(shard, &mut machine, log, &mut applied, &mut ctrl_errors);
-            let end = machine.span_now_ns();
-            let spans = machine.spans_mut();
-            let id = spans.alloc_id();
-            spans.record(0, id, 0, Stage::CtrlDrain, t0, end);
         }
         for msg in run.drain(..) {
             match msg {
@@ -1056,6 +1035,29 @@ fn worker(shard: usize, mut machine: RmtMachine, log: &CtrlLog, mut rx: spsc::Co
                     };
                     let _ = reply.send(BatchOutput { ctxts, results });
                 }
+                Msg::Ctrl(req) => {
+                    // Installs re-seed with `seed ^ shard` so each
+                    // shard's DP noise stream is deterministic and
+                    // distinct (and shard 0 matches a single machine
+                    // installed with the base seed).
+                    let req = match *req {
+                        CtrlRequest::Install { prog, mode, seed } => CtrlRequest::Install {
+                            prog,
+                            mode,
+                            seed: seed ^ shard as u64,
+                        },
+                        other => other,
+                    };
+                    let t0 = machine.span_now_ns();
+                    if syscall_rmt_with(&mut machine, req, vcfg).is_err() {
+                        ctrl_errors += 1;
+                    }
+                    applied += 1;
+                    let end = machine.span_now_ns();
+                    let spans = machine.spans_mut();
+                    let id = spans.alloc_id();
+                    spans.record(0, id, 0, Stage::CtrlDrain, t0, end);
+                }
                 Msg::With(f) => f(&mut machine),
                 Msg::Sync { reply } => {
                     let _ = reply.send(ShardStatus {
@@ -1068,41 +1070,6 @@ fn worker(shard: usize, mut machine: RmtMachine, log: &CtrlLog, mut rx: spsc::Co
                 Msg::Shutdown => break 'serve,
             }
         }
-    }
-}
-
-/// Applies every published-but-unapplied command, in log order.
-/// Installs re-seed with `seed ^ shard` so each shard's DP noise
-/// stream is deterministic and distinct (and shard 0 matches a single
-/// machine installed with the base seed).
-fn drain(
-    shard: usize,
-    machine: &mut RmtMachine,
-    log: &CtrlLog,
-    applied: &mut u64,
-    ctrl_errors: &mut u64,
-) {
-    let published = log.published.load(Ordering::Acquire);
-    if *applied >= published {
-        return;
-    }
-    let pending: Vec<CtrlRequest> = {
-        let cmds = log.cmds.lock().expect("ctrl log poisoned");
-        cmds[*applied as usize..published as usize].to_vec()
-    };
-    for req in pending {
-        let req = match req {
-            CtrlRequest::Install { prog, mode, seed } => CtrlRequest::Install {
-                prog,
-                mode,
-                seed: seed ^ shard as u64,
-            },
-            other => other,
-        };
-        if syscall_rmt_with(machine, req, &log.vcfg).is_err() {
-            *ctrl_errors += 1;
-        }
-        *applied += 1;
     }
 }
 

@@ -30,8 +30,7 @@
 //!   whole run visible with a single Release store and at most one
 //!   wakeup. [`Consumer::pop_run`] symmetrically drains a run of
 //!   messages with one Acquire load and retires it with one Release
-//!   store, which is what lets the shard worker amortize the
-//!   control-plane epoch check over an entire ingress batch.
+//!   store.
 //! - **Spin-then-park wakeup** — an empty consumer spins briefly
 //!   (ingress is bursty; the next batch is usually nanoseconds away),
 //!   then advertises `sleeping` and parks. The producer checks the
@@ -329,9 +328,9 @@ impl<T> Consumer<T> {
 
     /// Drains up to `max` published messages into `out` with one
     /// Acquire load and one Release store — the batch half of the
-    /// protocol that lets the shard worker run its control-plane
-    /// epoch check once per run instead of once per message. Returns
-    /// the number of messages appended.
+    /// protocol, which lets the shard worker pay the cursor handshake
+    /// once per run instead of once per message. Returns the number
+    /// of messages appended.
     pub fn pop_run(&mut self, max: usize, out: &mut Vec<T>) -> usize {
         if self.head == self.tail_cache {
             self.tail_cache = self.shared.tail.0.load(Ordering::Acquire);

@@ -197,6 +197,12 @@ if grep -nE 'VecDeque|fifo|lru_touch' crates/core/src/machine/cache.rs crates/co
     exit 1
 fi
 
+echo "==> one control log: sharded commands ride the shard ingress rings"
+if grep -nE 'CtrlLog|Mutex<Vec<CtrlRequest>>|fn drain\(' crates/core/src/shard.rs; then
+    echo "ERROR: a second command log is back in shard.rs (each shard's ingress ring orders its commands)" >&2
+    exit 1
+fi
+
 echo "==> dependency closure must be workspace-only"
 external=$(cargo tree --offline --workspace --edges normal,build,dev \
     | grep -oE '[a-z0-9_-]+ v[0-9][0-9.]*' | sort -u | grep -v '^rkd' || true)

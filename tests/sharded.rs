@@ -774,3 +774,67 @@ fn rebalanced_sharded_replay_matches_single_machine_per_flow() {
         "every event fired exactly once across waves and rotations"
     );
 }
+
+/// A published command lands exactly between the batches submitted
+/// around it: a batch queued before an `InsertEntry` runs under the
+/// old table even while the shard is still busy with earlier work, and
+/// a batch queued after it runs under the new one.
+#[test]
+fn ctrl_lands_between_the_batches_around_it() {
+    const BUSY_EVENTS: i64 = 50_000;
+    const FLOW: i64 = 7;
+    const ARG: i64 = 1_000;
+    let table = rkd::core::table::TableId(0);
+    let act = rkd::core::table::ActionId(0);
+    let sharded = ShardedMachine::new(1);
+    let pid = match sharded
+        .ctrl(CtrlRequest::Install {
+            prog: Box::new(stateless_prog()),
+            mode: ExecMode::Jit,
+            seed: BASE_SEED,
+        })
+        .unwrap()
+    {
+        CtrlResponse::Installed(id) => id,
+        other => panic!("unexpected response {other:?}"),
+    };
+    let one_event = || vec![Ctxt::from_values(vec![FLOW, 1])];
+
+    // Keep the worker busy: once it has popped the long batch, A, the
+    // command and B all queue behind it and reach the worker together.
+    let busy = sharded.fire_batch_on(
+        0,
+        "pkt",
+        (0..BUSY_EVENTS)
+            .map(|i| Ctxt::from_values(vec![100 + i % 64, i]))
+            .collect(),
+    );
+    while sharded.queue_depths()[0] > 0 {
+        std::hint::spin_loop();
+    }
+    let a = sharded.fire_batch_on(0, "pkt", one_event());
+    sharded
+        .ctrl(CtrlRequest::InsertEntry {
+            prog: pid,
+            table,
+            entry: Entry {
+                key: MatchKey::Exact(vec![FLOW as u64]),
+                priority: 0,
+                action: act,
+                arg: ARG,
+            },
+        })
+        .unwrap();
+    let b = sharded.fire_batch_on(0, "pkt", one_event());
+
+    let (_, busy_results) = busy.wait();
+    assert_eq!(busy_results.len(), BUSY_EVENTS as usize);
+    let verdict = |t: rkd::core::shard::BatchTicket| t.wait().1[0].verdict().unwrap();
+    // stateless_prog: verdict = arg ^ flow + x, arg 0 on the miss path.
+    assert_eq!(verdict(a), FLOW + 1, "batch A saw a later command");
+    assert_eq!(
+        verdict(b),
+        (ARG ^ FLOW) + 1,
+        "batch B missed an earlier command"
+    );
+}
