@@ -12,7 +12,7 @@ use rkd::core::dp::PrivacyLedger;
 use rkd::core::interp::{run_action, ExecEnv};
 use rkd::core::maps::{MapDef, MapId, MapInstance, MapKind};
 use rkd::core::opt::{optimize_reverified, OptLevel};
-use rkd::core::prog::{PrivacyPolicy, ProgramBuilder};
+use rkd::core::prog::{PrivacyPolicy, ProgramBuilder, RmtProgram};
 use rkd::core::table::MatchKind;
 use rkd::core::verifier::verify;
 use rkd::testkit::rng::{Rng, SeedableRng, SliceRandom, StdRng};
@@ -94,6 +94,10 @@ pub fn gen_insn(g: &mut impl Rng) -> Insn {
     }
 }
 
+/// Index of the first generated instruction: [`make_action`]'s
+/// prologue initializes r0..r7 and v0.
+pub const BODY_START: usize = 9;
+
 /// Builds an action from random instructions: a prologue initializes
 /// r0..r7 and v0, jump targets are forced forward and in range, and an
 /// epilogue guarantees termination.
@@ -106,6 +110,7 @@ pub fn make_action(raw: Vec<Insn>) -> Action {
         .collect();
     code.push(Insn::VectorClear { dst: VReg(0) });
     let body_start = code.len();
+    assert_eq!(body_start, BODY_START);
     let body_len = raw.len();
     for (i, mut insn) in raw.into_iter().enumerate() {
         if let Insn::JmpIfImm { target, .. } = &mut insn {
@@ -186,6 +191,45 @@ fn run_body(action: &Action, fuel: u64, arg: i64) -> (rkd::core::interp::ActionO
     )
 }
 
+/// The minimal program a generated action is verified in: one
+/// read-only field, the two maps the generator addresses, and one
+/// table whose default action is `action`.
+pub fn program_for(action: &Action) -> RmtProgram {
+    let mut b = ProgramBuilder::new("prop");
+    let pid = b.field_readonly("pid");
+    b.map("h", MapKind::Hash, 32);
+    b.map("r", MapKind::RingBuf, 8);
+    let act = b.action(action.clone());
+    b.table("t", "hook", &[pid], MatchKind::Exact, Some(act), 4);
+    b.build()
+}
+
+/// Returns `action` with one conditional back edge inserted at a random
+/// point of its generated body and a declared `loop_bound`. The
+/// generator forces every jump forward, so this is how a corpus gets
+/// loops: the edge may close a natural loop or, when a forward jump
+/// from before its target lands inside it, an irreducible one.
+pub fn with_back_edge(mut action: Action, g: &mut impl Rng) -> Action {
+    // Insert between the prologue and the two-instruction epilogue.
+    let at = g.gen_range(BODY_START..=action.code.len() - 2);
+    for insn in &mut action.code {
+        if let Insn::JmpIfImm { target, .. } = insn {
+            if *target > at {
+                *target += 1;
+            }
+        }
+    }
+    let edge = Insn::JmpIfImm {
+        cmp: *CMP_OPS.choose(g).expect("nonempty"),
+        lhs: Reg(g.gen_range(0u8..8)),
+        imm: g.gen_range(-50i64..50),
+        target: g.gen_range(BODY_START..=at),
+    };
+    action.code.insert(at, edge);
+    action.loop_bound = Some(g.gen_range(1u32..=8));
+    action
+}
+
 /// Generates an action, routes it through the real verifier, and (for
 /// admitted programs) asserts the two-way oracle: the body as written
 /// (O0) and its O2 rewrite agree on outcome, context, and map state.
@@ -197,14 +241,7 @@ pub fn check_o0_o2_equivalence(raw: Vec<Insn>, arg: i64) {
 /// admitted the program (so callers can track coverage).
 pub fn run_o0_o2_equivalence(raw: Vec<Insn>, arg: i64) -> bool {
     let action = make_action(raw);
-    // Route through the real verifier via a minimal program.
-    let mut b = ProgramBuilder::new("prop");
-    let pid = b.field_readonly("pid");
-    b.map("h", MapKind::Hash, 32);
-    b.map("r", MapKind::RingBuf, 8);
-    let act = b.action(action.clone());
-    b.table("t", "hook", &[pid], MatchKind::Exact, Some(act), 4);
-    let verified = match verify(b.build()) {
+    let verified = match verify(program_for(&action)) {
         Ok(v) => v,
         // Generated code can legitimately be rejected (e.g. a
         // conditional path reads a register the meet killed); the
