@@ -141,9 +141,10 @@ pub enum CtrlRequest {
         capacity: u64,
     },
     /// Rotate the sharded datapath's flow→shard partition seed — the
-    /// skew balancer's re-hash. Routed through the same journaled
-    /// command log as every other mutation so a recovered
-    /// [`crate::shard::ShardedMachine`] restores its partition. On a
+    /// skew balancer's re-hash. Journaled and carried through every
+    /// shard's ingress ring in order like every other mutation, so a
+    /// recovered [`crate::shard::ShardedMachine`] restores its
+    /// partition. On a
     /// single machine (and inside each shard replica) this is a
     /// deliberate no-op: partitioning is a coordinator concern.
     SetPartitionSeed {
@@ -317,8 +318,8 @@ pub fn syscall_rmt_with(
         }
         // Sharding directives: meaningless on one machine (and on a
         // shard's own replica), but accepted so they replay cleanly
-        // from the control journal and drain cleanly from the
-        // sharded command log.
+        // from the control journal and apply cleanly when a shard's
+        // ingress ring delivers them.
         CtrlRequest::SetPartitionSeed { .. } | CtrlRequest::SetBalancerPolicy { .. } => {
             Ok(CtrlResponse::Ok)
         }

@@ -112,6 +112,17 @@ pub enum VerifyError {
         /// Features the action supplies.
         got: usize,
     },
+    /// A model or tensor reads a feature vector whose length is not
+    /// one known value: it differs between the paths that reach the
+    /// read.
+    VectorLengthUnknown {
+        /// Action id.
+        action: u16,
+        /// Instruction index of the read.
+        at: usize,
+        /// Model slot (tensor id for `MatMul`).
+        model: u16,
+    },
     /// A tail-call chain can exceed the configured depth.
     TailCallTooDeep {
         /// Maximum allowed depth.
@@ -217,6 +228,10 @@ impl fmt::Display for VerifyError {
                 expected,
                 got,
             } => write!(f, "model {model}: expects {expected} features, action supplies {got}"),
+            VerifyError::VectorLengthUnknown { action, at, model } => write!(
+                f,
+                "action {action} insn {at}: model {model} reads a vector whose length differs between paths"
+            ),
             VerifyError::TailCallTooDeep { max } => {
                 write!(f, "tail-call chain exceeds max depth {max}")
             }

@@ -56,6 +56,7 @@
 // unsafe-free.
 #![deny(unsafe_code)]
 
+mod analysis;
 pub mod bytecode;
 pub mod ctrl;
 pub mod ctxt;

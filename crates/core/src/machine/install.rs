@@ -144,10 +144,10 @@ impl RmtMachine {
     /// re-verification failure aborts the switch and leaves the
     /// previous level, bodies and statistics installed).
     ///
-    /// The switch is epoch-published like any other table mutation:
-    /// the table generation is bumped, which simultaneously invalidates
-    /// the decision cache (decisions memoized under the old bodies) and
-    /// every fused chain stamped under the old level, then chains are
+    /// The switch lands like any other table mutation: it bumps the
+    /// table generation, which simultaneously invalidates the decision
+    /// cache (decisions memoized under the old bodies) and every fused
+    /// chain stamped under the old level, then chains are
     /// re-specialized for the new level. Without the bump, a replica
     /// that recompiled could keep serving verdicts memoized or fused
     /// under the previous level.

@@ -52,14 +52,16 @@
 //!   following instruction, and unreachable-code elimination with
 //!   jump-target rewriting.
 //!
-//! [`ConstFold`] and [`GuardHoist`] are whole-body forward analyses
-//! over a small CFG ([`Cfg`]): basic blocks from the shared leader
-//! scan, reverse postorder, immediate dominators (Cooper–Harvey–
-//! Kennedy), and natural-loop bodies from dominated back edges. Loop
-//! headers widen instead of resetting: only registers defined (and
-//! fields stored) somewhere inside the loop are dropped at the
-//! header, so loop-invariant constants and guard facts survive the
-//! back edge while loop-carried state is conservatively unknown.
+//! [`ConstFold`] and [`GuardHoist`] are whole-body forward analyses,
+//! and [`DeadCode`]'s liveness a backward one, all solved by the
+//! analysis core the verifier shares (`analysis.rs`: the successor
+//! function, the block CFG with reverse postorder, Cooper–Harvey–
+//! Kennedy dominators and natural loops, and one solver per
+//! direction). Loop headers widen instead of resetting: only registers
+//! defined (and fields stored) somewhere inside the loop are dropped
+//! at the header, so loop-invariant constants and guard facts survive
+//! the back edge while loop-carried state is conservatively unknown.
+//! An entry into an irreducible cycle widens to nothing known.
 //!
 //! On top of the per-action pipeline sits [`fuse_chain`] — tail-call
 //! match-chain fusion. It is not a [`Pass`] (it needs the program's
@@ -81,6 +83,9 @@
 //! install — a failure is a hard [`crate::error::VmError::Verify`]
 //! at compile time, never a silently-installed body.
 
+use crate::analysis::{
+    def_mask, leaders, reachable, solve_backward, solve_forward, Cfg, Lattice, LoopDefs,
+};
 use crate::bytecode::{Action, CmpOp, Insn, Reg, VReg, ARG_REG, NUM_REGS, NUM_VREGS};
 use crate::ctxt::FieldId;
 use crate::error::VmError;
@@ -269,30 +274,8 @@ pub fn ctxt_writes(action: &Action) -> Vec<FieldId> {
 }
 
 // ---------------------------------------------------------------------
-// Shared CFG helpers
+// Rewriting helpers
 // ---------------------------------------------------------------------
-
-/// Marks basic-block leaders: instruction 0, every jump target, and
-/// every instruction following a jump or terminator.
-fn leaders(code: &[Insn]) -> Vec<bool> {
-    let mut lead = vec![false; code.len()];
-    if !code.is_empty() {
-        lead[0] = true;
-    }
-    for (i, insn) in code.iter().enumerate() {
-        if let Some(t) = insn.jump_target() {
-            if t < code.len() {
-                lead[t] = true;
-            }
-            if i + 1 < code.len() {
-                lead[i + 1] = true;
-            }
-        } else if insn.is_terminator() && i + 1 < code.len() {
-            lead[i + 1] = true;
-        }
-    }
-    lead
-}
 
 /// Removes instructions where `keep[i]` is false, rewriting every jump
 /// target through the position map. A target pointing at a removed
@@ -331,257 +314,6 @@ fn compact(code: &mut Vec<Insn>, keep: &[bool]) -> bool {
     true
 }
 
-/// Scalar registers an instruction may define, as a bitmask —
-/// including the fixed `r0`/`r1` clobbers of map mutations, helper
-/// calls, and ML calls. Shared by the forward analyses' kill rules.
-fn def_mask(insn: &Insn) -> u16 {
-    match insn {
-        Insn::LdImm { dst, .. }
-        | Insn::Mov { dst, .. }
-        | Insn::Alu { dst, .. }
-        | Insn::AluImm { dst, .. }
-        | Insn::LdCtxt { dst, .. }
-        | Insn::MapLookup { dst, .. }
-        | Insn::ScalarVal { dst, .. }
-        | Insn::DpAggregate { dst, .. } => 1u16 << dst.0.min(15),
-        Insn::MapUpdate { .. } | Insn::MapDelete { .. } | Insn::Call { .. } => 1,
-        Insn::CallMl { .. } => 0b11,
-        _ => 0,
-    }
-}
-
-/// Basic-block view of an action body: block boundaries from the
-/// shared leader scan, successor/predecessor edges, reverse postorder
-/// from the entry, and immediate dominators (the iterative
-/// Cooper–Harvey–Kennedy scheme — fine at action-body sizes).
-///
-/// This is the infrastructure the loop-aware forward analyses
-/// ([`ConstFold`], [`GuardHoist`]) and [`fuse_chain`] share. A back
-/// edge is an edge whose target dominates its source; the natural
-/// loop of a header is the header plus everything that reaches one of
-/// its back-edge sources without passing through the header.
-/// Irreducible edges (a forward edge from a block not yet processed
-/// in reverse postorder) are handled by the analyses themselves by
-/// widening to "unknown", which is always sound.
-struct Cfg {
-    /// Start instruction of each block, ascending.
-    starts: Vec<usize>,
-    /// Block index of every instruction.
-    block_of: Vec<usize>,
-    /// Predecessor blocks (deduplicated).
-    preds: Vec<Vec<usize>>,
-    /// Blocks reachable from block 0, in reverse postorder.
-    rpo: Vec<usize>,
-    /// `rpo_pos[b]` = position of `b` in `rpo`; `usize::MAX` when
-    /// unreachable.
-    rpo_pos: Vec<usize>,
-    /// Immediate dominator of each reachable block (`idom[0] == 0`);
-    /// `usize::MAX` for unreachable blocks.
-    idom: Vec<usize>,
-    /// `loop_header[b]` = some back edge targets `b`.
-    loop_header: Vec<bool>,
-}
-
-impl Cfg {
-    fn build(code: &[Insn]) -> Cfg {
-        let lead = leaders(code);
-        let mut starts = Vec::new();
-        let mut block_of = vec![0usize; code.len()];
-        for (i, b) in block_of.iter_mut().enumerate() {
-            if lead[i] {
-                starts.push(i);
-            }
-            *b = starts.len() - 1;
-        }
-        let nb = starts.len();
-        let block_end = |b: usize| {
-            if b + 1 < nb {
-                starts[b + 1]
-            } else {
-                code.len()
-            }
-        };
-        let mut succs = vec![Vec::new(); nb];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        for (b, su) in succs.iter_mut().enumerate() {
-            let last = block_end(b) - 1;
-            let insn = &code[last];
-            let mut targets: Vec<usize> = Vec::new();
-            if let Some(t) = insn.jump_target() {
-                if t < code.len() {
-                    targets.push(block_of[t]);
-                }
-                if !matches!(insn, Insn::Jmp { .. }) && last + 1 < code.len() {
-                    targets.push(block_of[last + 1]);
-                }
-            } else if !insn.is_terminator() && last + 1 < code.len() {
-                targets.push(block_of[last + 1]);
-            }
-            for t in targets {
-                if !su.contains(&t) {
-                    su.push(t);
-                    preds[t].push(b);
-                }
-            }
-        }
-        // Reverse postorder via an iterative DFS from the entry.
-        let mut rpo = Vec::with_capacity(nb);
-        let mut state = vec![0u8; nb]; // 0 unseen, 1 on stack, 2 done
-        if nb > 0 {
-            let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-            state[0] = 1;
-            while let Some(top) = stack.last_mut() {
-                let b = top.0;
-                if top.1 < succs[b].len() {
-                    let s = succs[b][top.1];
-                    top.1 += 1;
-                    if state[s] == 0 {
-                        state[s] = 1;
-                        stack.push((s, 0));
-                    }
-                } else {
-                    state[b] = 2;
-                    rpo.push(b);
-                    stack.pop();
-                }
-            }
-            rpo.reverse();
-        }
-        let mut rpo_pos = vec![usize::MAX; nb];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_pos[b] = i;
-        }
-        // Immediate dominators, iterated to fixpoint over RPO.
-        let mut idom = vec![usize::MAX; nb];
-        if nb > 0 {
-            idom[0] = 0;
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for &b in rpo.iter().skip(1) {
-                    let mut new_idom = usize::MAX;
-                    for &p in &preds[b] {
-                        if idom[p] == usize::MAX {
-                            continue;
-                        }
-                        new_idom = if new_idom == usize::MAX {
-                            p
-                        } else {
-                            Self::intersect(&idom, &rpo_pos, p, new_idom)
-                        };
-                    }
-                    if new_idom != usize::MAX && idom[b] != new_idom {
-                        idom[b] = new_idom;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        let mut loop_header = vec![false; nb];
-        for (b, hdr) in loop_header.iter_mut().enumerate() {
-            *hdr = preds[b]
-                .iter()
-                .any(|&p| Self::dominates_in(&idom, &rpo_pos, b, p));
-        }
-        Cfg {
-            starts,
-            block_of,
-            preds,
-            rpo,
-            rpo_pos,
-            idom,
-            loop_header,
-        }
-    }
-
-    /// Nearest common dominator of `a` and `b` (CHK walk).
-    fn intersect(idom: &[usize], rpo_pos: &[usize], mut a: usize, mut b: usize) -> usize {
-        while a != b {
-            while rpo_pos[a] > rpo_pos[b] {
-                a = idom[a];
-            }
-            while rpo_pos[b] > rpo_pos[a] {
-                b = idom[b];
-            }
-        }
-        a
-    }
-
-    fn dominates_in(idom: &[usize], rpo_pos: &[usize], a: usize, b: usize) -> bool {
-        if rpo_pos[b] == usize::MAX || rpo_pos[a] == usize::MAX {
-            return false;
-        }
-        let mut x = b;
-        loop {
-            if x == a {
-                return true;
-            }
-            if x == 0 || idom[x] == usize::MAX {
-                return false;
-            }
-            x = idom[x];
-        }
-    }
-
-    /// Whether block `a` dominates block `b`.
-    fn dominates(&self, a: usize, b: usize) -> bool {
-        Self::dominates_in(&self.idom, &self.rpo_pos, a, b)
-    }
-
-    /// One-past-the-end instruction index of block `b`.
-    fn block_end(&self, b: usize, code_len: usize) -> usize {
-        if b + 1 < self.starts.len() {
-            self.starts[b + 1]
-        } else {
-            code_len
-        }
-    }
-
-    /// The natural loop of header `h`: `h` plus every block reaching a
-    /// back-edge source of `h` without passing through `h`.
-    fn loop_blocks(&self, h: usize) -> Vec<usize> {
-        let mut inl = vec![false; self.starts.len()];
-        inl[h] = true;
-        let mut out = vec![h];
-        let mut stack: Vec<usize> = self.preds[h]
-            .iter()
-            .copied()
-            .filter(|&p| self.dominates(h, p))
-            .collect();
-        while let Some(b) = stack.pop() {
-            if inl[b] {
-                continue;
-            }
-            inl[b] = true;
-            out.push(b);
-            for &p in &self.preds[b] {
-                if !inl[p] {
-                    stack.push(p);
-                }
-            }
-        }
-        out
-    }
-
-    /// (register def mask, stored fields) across header `h`'s natural
-    /// loop — what a loop-aware forward analysis must widen at `h`.
-    fn loop_defs(&self, code: &[Insn], h: usize) -> (u16, Vec<FieldId>) {
-        let mut mask = 0u16;
-        let mut fields: Vec<FieldId> = Vec::new();
-        for b in self.loop_blocks(h) {
-            for insn in &code[self.starts[b]..self.block_end(b, code.len())] {
-                mask |= def_mask(insn);
-                if let Insn::StCtxt { field, .. } = insn {
-                    if !fields.contains(field) {
-                        fields.push(*field);
-                    }
-                }
-            }
-        }
-        (mask, fields)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Constant folding
 // ---------------------------------------------------------------------
@@ -615,9 +347,12 @@ impl CpState {
             (None, Err(_)) => {}
         }
     }
+}
 
-    /// Lattice meet: keep only facts both states agree on.
-    fn meet(&mut self, other: &CpState) {
+impl Lattice for CpState {
+    /// Keep only facts both states agree on.
+    fn meet(&mut self, other: &CpState) -> bool {
+        let before = (self.regs, self.fields.len());
         for r in 0..16 {
             if self.regs[r] != other.regs[r] {
                 self.regs[r] = None;
@@ -625,6 +360,7 @@ impl CpState {
         }
         self.fields
             .retain(|&(f, v)| other.field_const(f) == Some(v));
+        before != (self.regs, self.fields.len())
     }
 
     /// Forward transfer over one instruction. Mirrors the rewrite
@@ -675,62 +411,18 @@ impl CpState {
             | Insn::TailCall { .. } => {}
         }
     }
-}
 
-/// Per-block constant in-states via a reverse-postorder forward sweep
-/// with loop widening: a loop header's in-state is the meet of its
-/// forward predecessors, with every register defined (and field
-/// stored) anywhere in the header's natural loop widened to unknown.
-/// Loop-invariant constants survive the back edge; loop-carried
-/// values are dropped. Unreachable blocks get `None`; a reachable but
-/// not-yet-processed forward predecessor (irreducible entry) widens
-/// the whole state to unknown, which is sound.
-fn cp_in_states(code: &[Insn], cfg: &Cfg) -> Vec<Option<CpState>> {
-    let nb = cfg.starts.len();
-    let mut ins: Vec<Option<CpState>> = vec![None; nb];
-    let mut outs: Vec<Option<CpState>> = vec![None; nb];
-    for (pos, &b) in cfg.rpo.iter().enumerate() {
-        let mut st = if pos == 0 {
-            CpState::default()
-        } else {
-            let mut acc: Option<CpState> = None;
-            let mut widen_all = false;
-            for &p in &cfg.preds[b] {
-                if cfg.rpo_pos[p] == usize::MAX || cfg.dominates(b, p) {
-                    // Unreachable pred contributes nothing; a back
-                    // edge is accounted for by header widening below.
-                    continue;
-                }
-                match &outs[p] {
-                    Some(o) => match &mut acc {
-                        Some(a) => a.meet(o),
-                        None => acc = Some(o.clone()),
-                    },
-                    None => widen_all = true,
-                }
+    /// Registers defined and fields stored anywhere in the loop are
+    /// unknown at its header; loop-invariant constants survive the
+    /// back edge.
+    fn widen(&mut self, defs: &LoopDefs) {
+        for r in 0..16 {
+            if defs.regs & (1 << r) != 0 {
+                self.regs[r] = None;
             }
-            if widen_all {
-                CpState::default()
-            } else {
-                acc.unwrap_or_default()
-            }
-        };
-        if cfg.loop_header[b] {
-            let (defs, stored) = cfg.loop_defs(code, b);
-            for r in 0..16 {
-                if defs & (1 << r) != 0 {
-                    st.regs[r] = None;
-                }
-            }
-            st.fields.retain(|&(f, _)| !stored.contains(&f));
         }
-        ins[b] = Some(st.clone());
-        for insn in &code[cfg.starts[b]..cfg.block_end(b, code.len())] {
-            st.step(insn);
-        }
-        outs[b] = Some(st);
+        self.fields.retain(|&(f, _)| !defs.fields.contains(&f));
     }
-    ins
 }
 
 /// Loop-aware constant propagation and folding over the block-level
@@ -761,16 +453,12 @@ impl Pass for ConstFold {
             return false;
         }
         let cfg = Cfg::build(code);
-        let ins = cp_in_states(code, &cfg);
+        let ins = solve_forward(code, &cfg, CpState::default());
         let mut changed = false;
-        // Indices are block offsets into `code`, rewritten in place.
-        #[allow(clippy::needless_range_loop)]
-        for b in 0..cfg.starts.len() {
+        for (b, block_in) in ins.into_iter().enumerate() {
             // Unreachable blocks are BranchFold's job.
-            let Some(block_in) = &ins[b] else { continue };
-            let mut st = block_in.clone();
-            let end = cfg.block_end(b, code.len());
-            for i in cfg.starts[b]..end {
+            let Some(mut st) = block_in else { continue };
+            for i in cfg.range(b) {
                 let next = i + 1;
                 match code[i] {
                     Insn::Mov { dst, src } => {
@@ -919,167 +607,84 @@ fn negate_cmp(cmp: CmpOp) -> CmpOp {
 /// pathological generated bodies.
 const MAX_GUARD_FACTS: usize = 24;
 
-fn push_fact(facts: &mut Vec<GuardFact>, f: GuardFact) {
-    if facts.contains(&f) {
-        return;
+/// The predicate a conditional jump tests, as `(lhs, cmp, rhs)`.
+/// `None` for every other instruction and for a register compared with
+/// itself, which [`ConstFold`] decides.
+fn guard_of(insn: &Insn) -> Option<(Reg, CmpOp, GuardRhs)> {
+    match *insn {
+        Insn::JmpIf { cmp, lhs, rhs, .. } if lhs != rhs => Some((lhs, cmp, GuardRhs::Reg(rhs))),
+        Insn::JmpIfImm { cmp, lhs, imm, .. } => Some((lhs, cmp, GuardRhs::Imm(imm))),
+        _ => None,
     }
-    if facts.len() >= MAX_GUARD_FACTS {
-        facts.remove(0);
-    }
-    facts.push(f);
 }
 
-/// Decides a conditional from the fact set: an exact match yields its
-/// recorded truth, a negated-comparison match the opposite.
-fn decide_from_facts(facts: &[GuardFact], lhs: Reg, cmp: CmpOp, rhs: GuardRhs) -> Option<bool> {
-    for f in facts {
-        if f.lhs == lhs && f.rhs == rhs {
-            if f.cmp == cmp {
-                return Some(f.truth);
-            }
-            if f.cmp == negate_cmp(cmp) {
-                return Some(!f.truth);
-            }
+/// The guard facts holding at a program point, oldest first. A
+/// conditional's taken edge carries its predicate as a true fact and
+/// the fall-through edge as a false fact; definitions kill facts over
+/// their registers; the meet is set intersection.
+#[derive(Clone, Default)]
+struct GuardFacts(Vec<GuardFact>);
+
+impl GuardFacts {
+    /// Drops the facts that read a register in `defs`.
+    fn kill(&mut self, defs: u16) {
+        if defs != 0 {
+            self.0.retain(|f| !f.mentions(defs));
         }
     }
-    None
+
+    /// Decides a conditional from the fact set: an exact match yields
+    /// its recorded truth, a negated-comparison match the opposite.
+    fn decide(&self, lhs: Reg, cmp: CmpOp, rhs: GuardRhs) -> Option<bool> {
+        for f in &self.0 {
+            if f.lhs == lhs && f.rhs == rhs {
+                if f.cmp == cmp {
+                    return Some(f.truth);
+                }
+                if f.cmp == negate_cmp(cmp) {
+                    return Some(!f.truth);
+                }
+            }
+        }
+        None
+    }
 }
 
-/// Per-block guard-fact in-states: an edge-sensitive forward sweep in
-/// reverse postorder. A conditional's taken edge carries its
-/// predicate as a true fact and the fall-through edge as a false
-/// fact; definitions kill facts over their registers; the meet is set
-/// intersection. Loop headers widen like [`cp_in_states`]: facts over
-/// registers defined inside the natural loop are dropped, so
-/// loop-invariant guards survive the back edge.
-fn guard_in_states(code: &[Insn], cfg: &Cfg) -> Vec<Option<Vec<GuardFact>>> {
-    let nb = cfg.starts.len();
-    let mut ins: Vec<Option<Vec<GuardFact>>> = vec![None; nb];
-    // Per-block (taken-edge, fall-through-edge) out states.
-    let mut outs: Vec<Option<(Vec<GuardFact>, Vec<GuardFact>)>> = vec![None; nb];
-    // Block the last instruction jumps to / falls through to.
-    let edge_blocks = |b: usize| -> (Option<usize>, Option<usize>) {
-        let last = cfg.block_end(b, code.len()) - 1;
-        let insn = &code[last];
-        let jt = insn
-            .jump_target()
-            .filter(|&t| t < code.len())
-            .map(|t| cfg.block_of[t]);
-        let ft =
-            if insn.is_terminator() || matches!(insn, Insn::Jmp { .. }) || last + 1 >= code.len() {
-                None
-            } else {
-                Some(cfg.block_of[last + 1])
-            };
-        (jt, ft)
-    };
-    for (pos, &b) in cfg.rpo.iter().enumerate() {
-        let mut facts: Vec<GuardFact> = if pos == 0 {
-            Vec::new()
-        } else {
-            let mut acc: Option<Vec<GuardFact>> = None;
-            let mut widen_all = false;
-            for &p in &cfg.preds[b] {
-                if cfg.rpo_pos[p] == usize::MAX || cfg.dominates(b, p) {
-                    continue;
-                }
-                let contrib: Vec<GuardFact> = match &outs[p] {
-                    Some((taken, fall)) => {
-                        let (jt, ft) = edge_blocks(p);
-                        match (jt == Some(b), ft == Some(b)) {
-                            // Both edges land here (target == next):
-                            // only facts common to both hold.
-                            (true, true) => {
-                                taken.iter().filter(|f| fall.contains(f)).copied().collect()
-                            }
-                            (true, false) => taken.clone(),
-                            (false, true) => fall.clone(),
-                            (false, false) => Vec::new(),
-                        }
-                    }
-                    None => {
-                        widen_all = true;
-                        Vec::new()
-                    }
-                };
-                if widen_all {
-                    break;
-                }
-                match &mut acc {
-                    Some(a) => a.retain(|f| contrib.contains(f)),
-                    None => acc = Some(contrib),
-                }
-            }
-            if widen_all {
-                Vec::new()
-            } else {
-                acc.unwrap_or_default()
-            }
-        };
-        if cfg.loop_header[b] {
-            let (defs, _) = cfg.loop_defs(code, b);
-            facts.retain(|f| !f.mentions(defs));
-        }
-        ins[b] = Some(facts.clone());
-        let end = cfg.block_end(b, code.len());
-        for insn in &code[cfg.starts[b]..end] {
-            let defs = def_mask(insn);
-            if defs != 0 {
-                facts.retain(|f| !f.mentions(defs));
-            }
-        }
-        let out = match code[end - 1] {
-            Insn::JmpIf { cmp, lhs, rhs, .. } if lhs != rhs => {
-                let mut taken = facts.clone();
-                let mut fall = facts;
-                push_fact(
-                    &mut taken,
-                    GuardFact {
-                        lhs,
-                        cmp,
-                        rhs: GuardRhs::Reg(rhs),
-                        truth: true,
-                    },
-                );
-                push_fact(
-                    &mut fall,
-                    GuardFact {
-                        lhs,
-                        cmp,
-                        rhs: GuardRhs::Reg(rhs),
-                        truth: false,
-                    },
-                );
-                (taken, fall)
-            }
-            Insn::JmpIfImm { cmp, lhs, imm, .. } => {
-                let mut taken = facts.clone();
-                let mut fall = facts;
-                push_fact(
-                    &mut taken,
-                    GuardFact {
-                        lhs,
-                        cmp,
-                        rhs: GuardRhs::Imm(imm),
-                        truth: true,
-                    },
-                );
-                push_fact(
-                    &mut fall,
-                    GuardFact {
-                        lhs,
-                        cmp,
-                        rhs: GuardRhs::Imm(imm),
-                        truth: false,
-                    },
-                );
-                (taken, fall)
-            }
-            _ => (facts.clone(), facts),
-        };
-        outs[b] = Some(out);
+impl Lattice for GuardFacts {
+    fn meet(&mut self, other: &GuardFacts) -> bool {
+        let before = self.0.len();
+        self.0.retain(|f| other.0.contains(f));
+        before != self.0.len()
     }
-    ins
+
+    fn step(&mut self, insn: &Insn) {
+        self.kill(def_mask(insn));
+    }
+
+    fn edge(&mut self, last: &Insn, taken: bool) {
+        let Some((lhs, cmp, rhs)) = guard_of(last) else {
+            return;
+        };
+        let f = GuardFact {
+            lhs,
+            cmp,
+            rhs,
+            truth: taken,
+        };
+        if self.0.contains(&f) {
+            return;
+        }
+        if self.0.len() >= MAX_GUARD_FACTS {
+            self.0.remove(0);
+        }
+        self.0.push(f);
+    }
+
+    /// Facts over registers defined inside the loop are dropped at its
+    /// header, so loop-invariant guards survive the back edge.
+    fn widen(&mut self, defs: &LoopDefs) {
+        self.kill(defs.regs);
+    }
 }
 
 /// Dominator-based guard redundancy elimination. A conditional whose
@@ -1103,43 +708,20 @@ impl Pass for GuardHoist {
             return false;
         }
         let cfg = Cfg::build(code);
-        let ins = guard_in_states(code, &cfg);
+        let ins = solve_forward(code, &cfg, GuardFacts::default());
         let mut changed = false;
-        // Indices are block offsets into `code`, rewritten in place.
-        #[allow(clippy::needless_range_loop)]
-        for b in 0..cfg.starts.len() {
-            let Some(block_in) = &ins[b] else { continue };
-            let mut facts = block_in.clone();
-            let end = cfg.block_end(b, code.len());
-            for i in cfg.starts[b]..end {
+        for (b, block_in) in ins.into_iter().enumerate() {
+            let Some(mut facts) = block_in else { continue };
+            for i in cfg.range(b) {
                 let decided =
-                    match code[i] {
-                        Insn::JmpIf {
-                            cmp,
-                            lhs,
-                            rhs,
-                            target,
-                        } if lhs != rhs => decide_from_facts(&facts, lhs, cmp, GuardRhs::Reg(rhs))
-                            .map(|t| (t, target)),
-                        Insn::JmpIfImm {
-                            cmp,
-                            lhs,
-                            imm,
-                            target,
-                        } => decide_from_facts(&facts, lhs, cmp, GuardRhs::Imm(imm))
-                            .map(|t| (t, target)),
-                        _ => None,
-                    };
-                if let Some((truth, target)) = decided {
+                    guard_of(&code[i]).and_then(|(lhs, cmp, rhs)| facts.decide(lhs, cmp, rhs));
+                if let (Some(truth), Some(target)) = (decided, code[i].jump_target()) {
                     code[i] = Insn::Jmp {
                         target: if truth { target } else { i + 1 },
                     };
                     changed = true;
                 }
-                let defs = def_mask(&code[i]);
-                if defs != 0 {
-                    facts.retain(|f| !f.mentions(defs));
-                }
+                facts.step(&code[i]);
             }
         }
         changed
@@ -1249,12 +831,6 @@ struct Live {
 }
 
 impl Live {
-    fn union(self, other: Live) -> Live {
-        Live {
-            regs: self.regs | other.regs,
-            vregs: self.vregs | other.vregs,
-        }
-    }
     fn reg(&self, r: Reg) -> bool {
         self.regs & (1 << r.0.min(15)) != 0
     }
@@ -1275,80 +851,88 @@ impl Live {
     }
 }
 
-impl DeadCode {
-    /// Backward transfer: `live` is live-out, returns live-in.
-    fn transfer(insn: &Insn, live: Live) -> Live {
-        let mut l = live;
+impl Lattice for Live {
+    /// Live on either path: the union.
+    fn meet(&mut self, other: &Live) -> bool {
+        let before = *self;
+        self.regs |= other.regs;
+        self.vregs |= other.vregs;
+        before != *self
+    }
+
+    /// Backward transfer: `self` is live-out, becomes live-in.
+    fn step(&mut self, insn: &Insn) {
         match insn {
-            Insn::LdImm { dst, .. } => l.clear_reg(*dst),
+            Insn::LdImm { dst, .. } => self.clear_reg(*dst),
             Insn::Mov { dst, src } => {
-                l.clear_reg(*dst);
-                l.set_reg(*src);
+                self.clear_reg(*dst);
+                self.set_reg(*src);
             }
-            Insn::LdCtxt { dst, .. } => l.clear_reg(*dst),
-            Insn::StCtxt { src, .. } => l.set_reg(*src),
+            Insn::LdCtxt { dst, .. } => self.clear_reg(*dst),
+            Insn::StCtxt { src, .. } => self.set_reg(*src),
             Insn::Alu { dst, src, .. } => {
                 // dst is both operand and destination.
-                l.set_reg(*dst);
-                l.set_reg(*src);
+                self.set_reg(*dst);
+                self.set_reg(*src);
             }
-            Insn::AluImm { dst, .. } => l.set_reg(*dst),
+            Insn::AluImm { dst, .. } => self.set_reg(*dst),
             Insn::Jmp { .. } => {}
             Insn::JmpIf { lhs, rhs, .. } => {
-                l.set_reg(*lhs);
-                l.set_reg(*rhs);
+                self.set_reg(*lhs);
+                self.set_reg(*rhs);
             }
-            Insn::JmpIfImm { lhs, .. } => l.set_reg(*lhs),
+            Insn::JmpIfImm { lhs, .. } => self.set_reg(*lhs),
             Insn::MapLookup { dst, key, .. } => {
-                l.clear_reg(*dst);
-                l.set_reg(*key);
+                self.clear_reg(*dst);
+                self.set_reg(*key);
             }
             Insn::MapUpdate { key, value, .. } => {
-                l.clear_reg(Reg(0));
-                l.set_reg(*key);
-                l.set_reg(*value);
+                self.clear_reg(Reg(0));
+                self.set_reg(*key);
+                self.set_reg(*value);
             }
             Insn::MapDelete { key, .. } => {
-                l.clear_reg(Reg(0));
-                l.set_reg(*key);
+                self.clear_reg(Reg(0));
+                self.set_reg(*key);
             }
-            Insn::VectorLdMap { dst, .. } | Insn::VectorLdCtxt { dst, .. } => l.clear_vreg(*dst),
+            Insn::VectorLdMap { dst, .. } | Insn::VectorLdCtxt { dst, .. } => self.clear_vreg(*dst),
             Insn::VectorPush { dst, src } => {
-                l.set_vreg(*dst);
-                l.set_reg(*src);
+                self.set_vreg(*dst);
+                self.set_reg(*src);
             }
-            Insn::VectorClear { dst } => l.clear_vreg(*dst),
+            Insn::VectorClear { dst } => self.clear_vreg(*dst),
             Insn::MatMul { dst, src, .. } => {
-                l.clear_vreg(*dst);
-                l.set_vreg(*src);
+                self.clear_vreg(*dst);
+                self.set_vreg(*src);
             }
-            Insn::VecMap { dst, .. } => l.set_vreg(*dst),
+            Insn::VecMap { dst, .. } => self.set_vreg(*dst),
             Insn::ScalarVal { dst, src, .. } => {
-                l.clear_reg(*dst);
-                l.set_vreg(*src);
+                self.clear_reg(*dst);
+                self.set_vreg(*src);
             }
             Insn::CallMl { src, .. } => {
-                l.clear_reg(Reg(0));
-                l.clear_reg(Reg(1));
-                l.set_vreg(*src);
+                self.clear_reg(Reg(0));
+                self.clear_reg(Reg(1));
+                self.set_vreg(*src);
             }
             Insn::Call { .. } => {
                 // Helpers return in r0 and may read r2..r4.
-                l.clear_reg(Reg(0));
-                l.set_reg(Reg(2));
-                l.set_reg(Reg(3));
-                l.set_reg(Reg(4));
+                self.clear_reg(Reg(0));
+                self.set_reg(Reg(2));
+                self.set_reg(Reg(3));
+                self.set_reg(Reg(4));
             }
-            Insn::DpAggregate { dst, .. } => l.clear_reg(*dst),
+            Insn::DpAggregate { dst, .. } => self.clear_reg(*dst),
             // The verdict is read from r0 at both exits.
             Insn::Exit | Insn::TailCall { .. } => {
-                l = Live::default();
-                l.set_reg(Reg(0));
+                *self = Live::default();
+                self.set_reg(Reg(0));
             }
         }
-        l
     }
+}
 
+impl DeadCode {
     /// Whether removing this instruction is observable beyond its
     /// register definition. Side-effecting or possibly-faulting
     /// instructions stay: map ops (LRU lookups touch recency), vector
@@ -1387,73 +971,7 @@ impl Pass for DeadCode {
             return false;
         }
         let n = code.len();
-        // Backward liveness to fixpoint (handles back edges).
-        let mut live_in = vec![Live::default(); n];
-        loop {
-            let mut stable = true;
-            for i in (0..n).rev() {
-                let insn = &code[i];
-                let mut out = Live::default();
-                if !insn.is_terminator() {
-                    match insn {
-                        Insn::Jmp { target } => {
-                            if *target < n {
-                                out = out.union(live_in[*target]);
-                            }
-                        }
-                        Insn::JmpIf { target, .. } | Insn::JmpIfImm { target, .. } => {
-                            if *target < n {
-                                out = out.union(live_in[*target]);
-                            }
-                            if i + 1 < n {
-                                out = out.union(live_in[i + 1]);
-                            }
-                        }
-                        _ => {
-                            if i + 1 < n {
-                                out = out.union(live_in[i + 1]);
-                            }
-                        }
-                    }
-                }
-                let inn = Self::transfer(insn, out);
-                if inn != live_in[i] {
-                    live_in[i] = inn;
-                    stable = false;
-                }
-            }
-            if stable {
-                break;
-            }
-        }
-        // live_out[i] recomputed from successors for the removal scan.
-        let live_out = |i: usize| -> Live {
-            let insn = &code[i];
-            let mut out = Live::default();
-            if !insn.is_terminator() {
-                match insn {
-                    Insn::Jmp { target } => {
-                        if *target < n {
-                            out = out.union(live_in[*target]);
-                        }
-                    }
-                    Insn::JmpIf { target, .. } | Insn::JmpIfImm { target, .. } => {
-                        if *target < n {
-                            out = out.union(live_in[*target]);
-                        }
-                        if i + 1 < n {
-                            out = out.union(live_in[i + 1]);
-                        }
-                    }
-                    _ => {
-                        if i + 1 < n {
-                            out = out.union(live_in[i + 1]);
-                        }
-                    }
-                }
-            }
-            out
-        };
+        let outs = solve_backward::<Live>(code);
         let mut keep = vec![true; n];
         for i in 0..n {
             // A self-move is a no-op regardless of liveness.
@@ -1464,7 +982,7 @@ impl Pass for DeadCode {
                 }
             }
             if let Some(def) = DeadCode::pure_def(&code[i]) {
-                let out = live_out(i);
+                let out = outs[i];
                 let dead = match def {
                     PureDef::Scalar(r) => !out.reg(r),
                     PureDef::Vector(v) => !out.vreg(v),
@@ -1586,36 +1104,11 @@ impl Pass for BranchFold {
             }
         }
         // 3. Unreachable-code elimination: forward reachability from
-        //    instruction 0 over the post-threading CFG, treating
-        //    removed jump-to-next instructions as fall-through.
-        let mut reach = vec![false; n];
-        let mut stack = vec![0usize];
-        while let Some(i) = stack.pop() {
-            if i >= n || reach[i] {
-                continue;
-            }
-            reach[i] = true;
-            let insn = &code[i];
-            if !keep[i] {
-                stack.push(i + 1);
-                continue;
-            }
-            if insn.is_terminator() {
-                continue;
-            }
-            match insn {
-                Insn::Jmp { target } => stack.push(*target),
-                Insn::JmpIf { target, .. } | Insn::JmpIfImm { target, .. } => {
-                    stack.push(*target);
-                    stack.push(i + 1);
-                }
-                _ => stack.push(i + 1),
-            }
-        }
-        for i in 0..n {
-            if !reach[i] {
-                keep[i] = false;
-            }
+        //    instruction 0 over the post-threading CFG. A jump to the
+        //    next instruction has that instruction as its only
+        //    successor, removed or not.
+        for (k, r) in keep.iter_mut().zip(reachable(code)) {
+            *k &= r;
         }
         compact(code, &keep) || changed
     }
@@ -1703,10 +1196,9 @@ fn fusable_callee(callee: &Action) -> bool {
 /// The constant state just before instruction `site`.
 fn cp_state_at(code: &[Insn], site: usize) -> Option<CpState> {
     let cfg = Cfg::build(code);
-    let ins = cp_in_states(code, &cfg);
-    let b = *cfg.block_of.get(site)?;
-    let mut st = ins[b].clone()?;
-    for insn in &code[cfg.starts[b]..site] {
+    let b = cfg.block_of(site);
+    let mut st = solve_forward(code, &cfg, CpState::default()).swap_remove(b)?;
+    for insn in &code[cfg.range(b).start..site] {
         st.step(insn);
     }
     Some(st)

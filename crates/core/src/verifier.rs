@@ -11,8 +11,10 @@
 //! 1. **Structural** — names, id references, entry/table compatibility.
 //! 2. **CFG** — jump-target validity, loop bounds, worst-case
 //!    instruction count, no fall-through off the end.
-//! 3. **Abstract interpretation** — register initialization, writable
-//!    fields, vector shapes where statically known, helper whitelist.
+//! 3. **Abstract interpretation** — solved to fixpoint over the shared
+//!    analysis core, then checked once per instruction: register
+//!    initialization, writable fields, vector lengths (a model's input
+//!    must have one known length), helper whitelist.
 //! 4. **Model admission** — per-latency-class cost budgets.
 //! 5. **Interference** — resource-emitting actions get a rate limit
 //!    (inserted if absent).
@@ -22,6 +24,7 @@
 //! Success yields a [`VerifiedProgram`], the only type
 //! [`crate::machine::RmtMachine::install`] accepts.
 
+use crate::analysis::{falls_through, solve_forward, Cfg, Lattice};
 use crate::bytecode::{Action, Helper, Insn, MAX_VECTOR_LEN, NUM_REGS, NUM_VREGS};
 use crate::error::VerifyError;
 use crate::prog::{ModelSpec, RateLimitCfg, RmtProgram};
@@ -116,9 +119,9 @@ pub fn verify_with(
     check_structure(&prog, cfg)?;
     let mut worst = Vec::with_capacity(prog.actions.len());
     for (i, action) in prog.actions.iter().enumerate() {
-        let wc = check_cfg(i as u16, action, cfg)?;
+        let (wc, graph) = check_cfg(i as u16, action, cfg)?;
         worst.push(wc);
-        check_dataflow(i as u16, action, &prog, cfg)?;
+        check_dataflow(i as u16, action, &graph, &prog, cfg)?;
     }
     check_models(&prog)?;
     check_tail_calls(&prog, cfg)?;
@@ -159,8 +162,8 @@ pub fn reverify_action(id: u16, action: &Action, prog: &RmtProgram) -> Result<u6
         forbidden_helpers: Vec::new(),
         ..VerifierConfig::default()
     };
-    let wc = check_cfg(id, action, &cfg)?;
-    check_dataflow(id, action, prog, &cfg)?;
+    let (wc, graph) = check_cfg(id, action, &cfg)?;
+    check_dataflow(id, action, &graph, prog, &cfg)?;
     Ok(wc)
 }
 
@@ -294,8 +297,8 @@ fn check_structure(prog: &RmtProgram, cfg: &VerifierConfig) -> Result<(), Verify
 }
 
 /// Pass 2: control-flow-graph checks for one action. Returns the
-/// worst-case dynamic instruction count.
-fn check_cfg(id: u16, action: &Action, cfg: &VerifierConfig) -> Result<u64, VerifyError> {
+/// worst-case dynamic instruction count and the action's [`Cfg`].
+fn check_cfg(id: u16, action: &Action, cfg: &VerifierConfig) -> Result<(u64, Cfg), VerifyError> {
     let code = &action.code;
     if code.is_empty() {
         return Err(VerifyError::MissingExit(id));
@@ -325,31 +328,11 @@ fn check_cfg(id: u16, action: &Action, cfg: &VerifierConfig) -> Result<u64, Veri
             }
         }
     }
-    // Reachability: ensure control cannot fall off the end. Walk all
-    // CFG edges from instruction 0.
-    let mut reachable = vec![false; code.len()];
-    let mut stack = vec![0usize];
-    while let Some(pc) = stack.pop() {
-        if reachable[pc] {
-            continue;
-        }
-        reachable[pc] = true;
-        let insn = &code[pc];
-        if insn.is_terminator() {
-            continue;
-        }
-        match insn {
-            Insn::Jmp { target } => stack.push(*target),
-            _ => {
-                if let Some(t) = insn.jump_target() {
-                    stack.push(t);
-                }
-                if pc + 1 >= code.len() {
-                    return Err(VerifyError::MissingExit(id));
-                }
-                stack.push(pc + 1);
-            }
-        }
+    // Control must not fall off the end: only the last block holds the
+    // last instruction.
+    let graph = Cfg::build(code);
+    if graph.is_reachable(graph.len() - 1) && falls_through(&code[code.len() - 1]) {
+        return Err(VerifyError::MissingExit(id));
     }
     // Worst case: straight-line count, multiplied by the loop bound if
     // any back edge exists (the declared bound limits *total* loop
@@ -367,68 +350,145 @@ fn check_cfg(id: u16, action: &Action, cfg: &VerifierConfig) -> Result<u64, Veri
             budget: cfg.exec_budget,
         });
     }
-    Ok(worst)
+    Ok((worst, graph))
 }
 
 /// Abstract state for the dataflow pass: which registers are known
-/// initialized, and statically known vector lengths.
-#[derive(Clone, PartialEq, Eq)]
-struct AbsState {
+/// initialized, and statically known vector lengths. An uninitialized
+/// vector is empty at run time, so its length is known too: 0.
+#[derive(Clone)]
+struct AbsState<'p> {
+    prog: &'p RmtProgram,
     regs: u16,                                 // Bitmask of initialized scalars.
     vregs: u8,                                 // Bitmask of initialized vectors.
     vlen: [Option<usize>; NUM_VREGS as usize], // Known lengths.
 }
 
-impl AbsState {
-    fn entry() -> AbsState {
+impl<'p> AbsState<'p> {
+    fn entry(prog: &'p RmtProgram) -> AbsState<'p> {
         AbsState {
+            prog,
             regs: 1 << crate::bytecode::ARG_REG.0, // r9 = entry arg.
             vregs: 0,
-            vlen: [None; NUM_VREGS as usize],
-        }
-    }
-
-    fn meet(&self, other: &AbsState) -> AbsState {
-        let mut vlen = [None; NUM_VREGS as usize];
-        for (i, slot) in vlen.iter_mut().enumerate() {
-            *slot = match (self.vlen[i], other.vlen[i]) {
-                (Some(a), Some(b)) if a == b => Some(a),
-                _ => None,
-            };
-        }
-        AbsState {
-            regs: self.regs & other.regs,
-            vregs: self.vregs & other.vregs,
-            vlen,
+            vlen: [Some(0); NUM_VREGS as usize],
         }
     }
 
     fn reg_init(&self, r: u8) -> bool {
-        self.regs & (1 << r) != 0
+        r < NUM_REGS && self.regs & (1 << r) != 0
     }
 
     fn set_reg(&mut self, r: u8) {
-        self.regs |= 1 << r;
+        if r < NUM_REGS {
+            self.regs |= 1 << r;
+        }
     }
 
     fn vreg_init(&self, v: u8) -> bool {
-        self.vregs & (1 << v) != 0
+        v < NUM_VREGS && self.vregs & (1 << v) != 0
+    }
+
+    fn vlen(&self, v: u8) -> Option<usize> {
+        self.vlen.get(v as usize).copied().flatten()
     }
 
     fn set_vreg(&mut self, v: u8, len: Option<usize>) {
-        self.vregs |= 1 << v;
-        self.vlen[v as usize] = len;
+        if v < NUM_VREGS {
+            self.vregs |= 1 << v;
+            self.vlen[v as usize] = len;
+        }
     }
 }
 
-/// Pass 3: abstract interpretation over one action.
+impl Lattice for AbsState<'_> {
+    fn meet(&mut self, other: &Self) -> bool {
+        let before = (self.regs, self.vregs, self.vlen);
+        self.regs &= other.regs;
+        self.vregs &= other.vregs;
+        for (mine, theirs) in self.vlen.iter_mut().zip(other.vlen) {
+            if *mine != theirs {
+                *mine = None;
+            }
+        }
+        before != (self.regs, self.vregs, self.vlen)
+    }
+
+    /// What the instruction initializes, and the vector lengths it
+    /// makes known. Total: out-of-range operands are [`check_insn`]'s
+    /// to reject.
+    fn step(&mut self, insn: &Insn) {
+        match *insn {
+            Insn::LdImm { dst, .. }
+            | Insn::Mov { dst, .. }
+            | Insn::LdCtxt { dst, .. }
+            | Insn::MapLookup { dst, .. }
+            | Insn::ScalarVal { dst, .. }
+            | Insn::DpAggregate { dst, .. } => self.set_reg(dst.0),
+            // r0 = status / helper result.
+            Insn::MapUpdate { .. } | Insn::MapDelete { .. } | Insn::Call { .. } => self.set_reg(0),
+            Insn::CallMl { .. } => {
+                self.set_reg(0);
+                self.set_reg(1);
+            }
+            Insn::VectorLdMap { dst, map } => {
+                let len = self.prog.maps.get(map.0 as usize).map(|m| m.capacity);
+                self.set_vreg(dst.0, len);
+            }
+            Insn::VectorLdCtxt { dst, len, .. } => self.set_vreg(dst.0, Some(len as usize)),
+            Insn::VectorPush { dst, .. } => {
+                let len = self.vlen(dst.0).map(|l| l + 1);
+                self.set_vreg(dst.0, len);
+            }
+            Insn::VectorClear { dst } => self.set_vreg(dst.0, Some(0)),
+            Insn::MatMul { dst, tensor, .. } => {
+                let rows = self.prog.tensors.get(tensor.0 as usize).map(|t| t.rows());
+                self.set_vreg(dst.0, rows);
+            }
+            Insn::StCtxt { .. }
+            | Insn::Alu { .. }
+            | Insn::AluImm { .. }
+            | Insn::Jmp { .. }
+            | Insn::JmpIf { .. }
+            | Insn::JmpIfImm { .. }
+            | Insn::VecMap { .. }
+            | Insn::Exit
+            | Insn::TailCall { .. } => {}
+        }
+    }
+}
+
+/// Pass 3: abstract interpretation over one action. Solves to the
+/// fixpoint first, then checks every reachable instruction once, in
+/// `pc` order, against its fixpoint in-state — so what is admitted
+/// cannot depend on the order the solver visits blocks in.
 fn check_dataflow(
     id: u16,
     action: &Action,
+    graph: &Cfg,
     prog: &RmtProgram,
     cfg: &VerifierConfig,
 ) -> Result<(), VerifyError> {
     let code = &action.code;
+    let ins = solve_forward(code, graph, AbsState::entry(prog));
+    for (b, block_in) in ins.into_iter().enumerate() {
+        let Some(mut st) = block_in else { continue };
+        for pc in graph.range(b) {
+            check_insn(id, pc, &code[pc], &st, cfg)?;
+            st.step(&code[pc]);
+        }
+    }
+    Ok(())
+}
+
+/// The checks of one reachable instruction against its in-state `st`.
+fn check_insn(
+    id: u16,
+    pc: usize,
+    insn: &Insn,
+    st: &AbsState,
+    cfg: &VerifierConfig,
+) -> Result<(), VerifyError> {
+    let prog = st.prog;
     let reg_ok = |r: crate::bytecode::Reg| -> Result<(), VerifyError> {
         if r.0 >= NUM_REGS {
             Err(VerifyError::BadRegister(r.0))
@@ -443,10 +503,10 @@ fn check_dataflow(
             Ok(())
         }
     };
-    let field_ok = |f: crate::ctxt::FieldId, site: &str| -> Result<(), VerifyError> {
+    let field_ok = |f: crate::ctxt::FieldId| -> Result<(), VerifyError> {
         if prog.schema.get(f).is_none() {
             Err(VerifyError::UnknownField {
-                site: site.to_string(),
+                site: format!("action {id} insn {pc}"),
                 field: f.0,
             })
         } else {
@@ -460,259 +520,183 @@ fn check_dataflow(
             Ok(())
         }
     };
-
-    // Worklist dataflow over the CFG.
-    let mut states: Vec<Option<AbsState>> = vec![None; code.len()];
-    states[0] = Some(AbsState::entry());
-    let mut work = vec![0usize];
-    // Bound iterations: each state can only lose bits, so convergence
-    // is fast; the explicit cap is defense in depth.
-    let mut budget = code.len() * 64 + 64;
-    while let Some(pc) = work.pop() {
-        if budget == 0 {
-            break;
+    let read = |r: crate::bytecode::Reg| -> Result<(), VerifyError> {
+        reg_ok(r)?;
+        if !st.reg_init(r.0) {
+            return Err(VerifyError::UninitializedRegister {
+                action: id,
+                at: pc,
+                reg: r.0,
+            });
         }
-        budget -= 1;
-        let mut st = states[pc].clone().expect("state exists when queued");
-        let insn = &code[pc];
-        let read = |st: &AbsState, r: crate::bytecode::Reg| -> Result<(), VerifyError> {
-            reg_ok(r)?;
-            if !st.reg_init(r.0) {
-                return Err(VerifyError::UninitializedRegister {
-                    action: id,
-                    at: pc,
-                    reg: r.0,
+        Ok(())
+    };
+    let readv = |v: crate::bytecode::VReg| -> Result<(), VerifyError> {
+        vreg_ok(v)?;
+        if !st.vreg_init(v.0) {
+            return Err(VerifyError::UninitializedRegister {
+                action: id,
+                at: pc,
+                reg: 100 + v.0, // Vector registers reported as 100+.
+            });
+        }
+        Ok(())
+    };
+    // A model or tensor reads `src` as `expected` features: its length
+    // must be that one value on every path.
+    let arity = |src: crate::bytecode::VReg, model: u16, expected: usize| match st.vlen(src.0) {
+        Some(got) if got == expected => Ok(()),
+        Some(got) => Err(VerifyError::ModelArityMismatch {
+            model,
+            expected,
+            got,
+        }),
+        None => Err(VerifyError::VectorLengthUnknown {
+            action: id,
+            at: pc,
+            model,
+        }),
+    };
+    match insn {
+        Insn::LdImm { dst, .. } => reg_ok(*dst)?,
+        Insn::Mov { dst, src } => {
+            read(*src)?;
+            reg_ok(*dst)?;
+        }
+        Insn::LdCtxt { dst, field } => {
+            field_ok(*field)?;
+            reg_ok(*dst)?;
+        }
+        Insn::StCtxt { field, src } => {
+            field_ok(*field)?;
+            let def = prog.schema.get(*field).expect("checked");
+            if !def.writable {
+                return Err(VerifyError::UnknownField {
+                    site: format!("action {id} insn {pc}: field not writable"),
+                    field: field.0,
                 });
             }
-            Ok(())
-        };
-        let readv = |st: &AbsState, v: crate::bytecode::VReg| -> Result<(), VerifyError> {
-            vreg_ok(v)?;
-            if !st.vreg_init(v.0) {
-                return Err(VerifyError::UninitializedRegister {
+            read(*src)?;
+        }
+        Insn::Alu { dst, src, .. } => {
+            read(*dst)?;
+            read(*src)?;
+        }
+        Insn::AluImm { dst, .. } => read(*dst)?,
+        Insn::Jmp { .. } => {}
+        Insn::JmpIf { lhs, rhs, .. } => {
+            read(*lhs)?;
+            read(*rhs)?;
+        }
+        Insn::JmpIfImm { lhs, .. } => read(*lhs)?,
+        Insn::MapLookup { dst, map, key, .. } => {
+            map_ok(*map)?;
+            if prog.maps[map.0 as usize].shared {
+                return Err(VerifyError::PrivacyViolation {
                     action: id,
-                    at: pc,
-                    reg: 100 + v.0, // Vector registers reported as 100+.
+                    reason: "raw read of shared map (use DpAggregate)",
                 });
             }
-            Ok(())
-        };
-        // Effect of the instruction on the abstract state.
-        match insn {
-            Insn::LdImm { dst, .. } => {
-                reg_ok(*dst)?;
-                st.set_reg(dst.0);
+            read(*key)?;
+            reg_ok(*dst)?;
+        }
+        Insn::MapUpdate { map, key, value } => {
+            map_ok(*map)?;
+            read(*key)?;
+            read(*value)?;
+        }
+        Insn::MapDelete { map, key } => {
+            map_ok(*map)?;
+            read(*key)?;
+        }
+        Insn::VectorLdMap { dst, map } => {
+            map_ok(*map)?;
+            if prog.maps[map.0 as usize].shared {
+                return Err(VerifyError::PrivacyViolation {
+                    action: id,
+                    reason: "raw vector read of shared map (use DpAggregate)",
+                });
             }
-            Insn::Mov { dst, src } => {
-                read(&st, *src)?;
-                reg_ok(*dst)?;
-                st.set_reg(dst.0);
+            vreg_ok(*dst)?;
+        }
+        Insn::VectorLdCtxt { dst, base, len } => {
+            vreg_ok(*dst)?;
+            let end = base.0 as usize + *len as usize;
+            if *len as usize > MAX_VECTOR_LEN || end > prog.schema.len() {
+                return Err(VerifyError::UnknownField {
+                    site: format!("action {id} insn {pc}: vector window out of schema"),
+                    field: base.0,
+                });
             }
-            Insn::LdCtxt { dst, field } => {
-                field_ok(*field, &format!("action {id} insn {pc}"))?;
-                reg_ok(*dst)?;
-                st.set_reg(dst.0);
-            }
-            Insn::StCtxt { field, src } => {
-                field_ok(*field, &format!("action {id} insn {pc}"))?;
-                let def = prog.schema.get(*field).expect("checked");
-                if !def.writable {
-                    return Err(VerifyError::UnknownField {
-                        site: format!("action {id} insn {pc}: field not writable"),
-                        field: field.0,
+        }
+        Insn::VectorPush { dst, src } => {
+            read(*src)?;
+            vreg_ok(*dst)?;
+            // A length that differs between paths is checked at run
+            // time, as a length a loop builds is.
+            if let Some(l) = st.vlen(dst.0).map(|l| l + 1) {
+                if l > MAX_VECTOR_LEN {
+                    return Err(VerifyError::TooLarge {
+                        what: "vector elements",
+                        got: l,
+                        max: MAX_VECTOR_LEN,
                     });
-                }
-                read(&st, *src)?;
-            }
-            Insn::Alu { dst, src, .. } => {
-                read(&st, *dst)?;
-                read(&st, *src)?;
-            }
-            Insn::AluImm { dst, .. } => {
-                read(&st, *dst)?;
-            }
-            Insn::Jmp { .. } => {}
-            Insn::JmpIf { lhs, rhs, .. } => {
-                read(&st, *lhs)?;
-                read(&st, *rhs)?;
-            }
-            Insn::JmpIfImm { lhs, .. } => {
-                read(&st, *lhs)?;
-            }
-            Insn::MapLookup { dst, map, key, .. } => {
-                map_ok(*map)?;
-                if prog.maps[map.0 as usize].shared {
-                    return Err(VerifyError::PrivacyViolation {
-                        action: id,
-                        reason: "raw read of shared map (use DpAggregate)",
-                    });
-                }
-                read(&st, *key)?;
-                reg_ok(*dst)?;
-                st.set_reg(dst.0);
-            }
-            Insn::MapUpdate { map, key, value } => {
-                map_ok(*map)?;
-                read(&st, *key)?;
-                read(&st, *value)?;
-                st.set_reg(0); // r0 = status.
-            }
-            Insn::MapDelete { map, key } => {
-                map_ok(*map)?;
-                read(&st, *key)?;
-                st.set_reg(0);
-            }
-            Insn::VectorLdMap { dst, map } => {
-                map_ok(*map)?;
-                if prog.maps[map.0 as usize].shared {
-                    return Err(VerifyError::PrivacyViolation {
-                        action: id,
-                        reason: "raw vector read of shared map (use DpAggregate)",
-                    });
-                }
-                vreg_ok(*dst)?;
-                st.set_vreg(dst.0, Some(prog.maps[map.0 as usize].capacity));
-            }
-            Insn::VectorLdCtxt { dst, base, len } => {
-                vreg_ok(*dst)?;
-                let end = base.0 as usize + *len as usize;
-                if *len as usize > MAX_VECTOR_LEN || end > prog.schema.len() {
-                    return Err(VerifyError::UnknownField {
-                        site: format!("action {id} insn {pc}: vector window out of schema"),
-                        field: base.0,
-                    });
-                }
-                st.set_vreg(dst.0, Some(*len as usize));
-            }
-            Insn::VectorPush { dst, src } => {
-                read(&st, *src)?;
-                vreg_ok(*dst)?;
-                let new_len = if st.vreg_init(dst.0) {
-                    st.vlen[dst.0 as usize].map(|l| l + 1)
-                } else {
-                    Some(1)
-                };
-                if let Some(l) = new_len {
-                    if l > MAX_VECTOR_LEN {
-                        return Err(VerifyError::TooLarge {
-                            what: "vector elements",
-                            got: l,
-                            max: MAX_VECTOR_LEN,
-                        });
-                    }
-                }
-                st.set_vreg(dst.0, new_len);
-            }
-            Insn::VectorClear { dst } => {
-                vreg_ok(*dst)?;
-                st.set_vreg(dst.0, Some(0));
-            }
-            Insn::MatMul { dst, tensor, src } => {
-                readv(&st, *src)?;
-                vreg_ok(*dst)?;
-                let t = prog
-                    .tensors
-                    .get(tensor.0 as usize)
-                    .ok_or(VerifyError::UnknownModel(tensor.0))?;
-                if let Some(l) = st.vlen[src.0 as usize] {
-                    if l != t.cols() {
-                        return Err(VerifyError::ModelArityMismatch {
-                            model: tensor.0,
-                            expected: t.cols(),
-                            got: l,
-                        });
-                    }
-                }
-                st.set_vreg(dst.0, Some(t.rows()));
-            }
-            Insn::VecMap { dst, .. } => {
-                readv(&st, *dst)?;
-            }
-            Insn::ScalarVal { dst, src, .. } => {
-                readv(&st, *src)?;
-                reg_ok(*dst)?;
-                st.set_reg(dst.0);
-            }
-            Insn::CallMl { model, src } => {
-                readv(&st, *src)?;
-                let m = prog
-                    .models
-                    .get(model.0 as usize)
-                    .ok_or(VerifyError::UnknownModel(model.0))?;
-                if let Some(l) = st.vlen[src.0 as usize] {
-                    if l != m.spec.n_features() {
-                        return Err(VerifyError::ModelArityMismatch {
-                            model: model.0,
-                            expected: m.spec.n_features(),
-                            got: l,
-                        });
-                    }
-                }
-                st.set_reg(0);
-                st.set_reg(1);
-            }
-            Insn::Call { helper } => {
-                if cfg.forbidden_helpers.contains(helper) {
-                    return Err(VerifyError::HelperNotAllowed {
-                        action: id,
-                        helper: helper.name(),
-                    });
-                }
-                match helper {
-                    Helper::GetTick | Helper::Rand => {}
-                    Helper::EmitPrefetch => {
-                        read(&st, crate::bytecode::Reg(2))?;
-                        read(&st, crate::bytecode::Reg(3))?;
-                    }
-                    Helper::EmitMigrate => {
-                        read(&st, crate::bytecode::Reg(2))?;
-                    }
-                    Helper::EmitHint => {
-                        read(&st, crate::bytecode::Reg(2))?;
-                        read(&st, crate::bytecode::Reg(3))?;
-                        read(&st, crate::bytecode::Reg(4))?;
-                    }
-                }
-                st.set_reg(0);
-            }
-            Insn::DpAggregate { dst, map } => {
-                map_ok(*map)?;
-                reg_ok(*dst)?;
-                st.set_reg(dst.0);
-            }
-            Insn::Exit => {
-                // Verdict convention: r0 should be set. We require it.
-                read(&st, crate::bytecode::Reg(0))?;
-            }
-            Insn::TailCall { table } => {
-                if table.0 as usize >= prog.tables.len() {
-                    return Err(VerifyError::UnknownTable(table.0));
                 }
             }
         }
-        // Propagate to successors.
-        let mut succs = Vec::new();
-        if !insn.is_terminator() {
-            match insn {
-                Insn::Jmp { target } => succs.push(*target),
-                _ => {
-                    if let Some(t) = insn.jump_target() {
-                        succs.push(t);
-                    }
-                    if pc + 1 < code.len() {
-                        succs.push(pc + 1);
-                    }
+        Insn::VectorClear { dst } => vreg_ok(*dst)?,
+        Insn::MatMul { dst, tensor, src } => {
+            readv(*src)?;
+            vreg_ok(*dst)?;
+            let t = prog
+                .tensors
+                .get(tensor.0 as usize)
+                .ok_or(VerifyError::UnknownModel(tensor.0))?;
+            arity(*src, tensor.0, t.cols())?;
+        }
+        Insn::VecMap { dst, .. } => readv(*dst)?,
+        Insn::ScalarVal { dst, src, .. } => {
+            readv(*src)?;
+            reg_ok(*dst)?;
+        }
+        Insn::CallMl { model, src } => {
+            readv(*src)?;
+            let m = prog
+                .models
+                .get(model.0 as usize)
+                .ok_or(VerifyError::UnknownModel(model.0))?;
+            arity(*src, model.0, m.spec.n_features())?;
+        }
+        Insn::Call { helper } => {
+            if cfg.forbidden_helpers.contains(helper) {
+                return Err(VerifyError::HelperNotAllowed {
+                    action: id,
+                    helper: helper.name(),
+                });
+            }
+            match helper {
+                Helper::GetTick | Helper::Rand => {}
+                Helper::EmitPrefetch => {
+                    read(crate::bytecode::Reg(2))?;
+                    read(crate::bytecode::Reg(3))?;
+                }
+                Helper::EmitMigrate => read(crate::bytecode::Reg(2))?,
+                Helper::EmitHint => {
+                    read(crate::bytecode::Reg(2))?;
+                    read(crate::bytecode::Reg(3))?;
+                    read(crate::bytecode::Reg(4))?;
                 }
             }
         }
-        for s in succs {
-            let merged = match &states[s] {
-                Some(existing) => existing.meet(&st),
-                None => st.clone(),
-            };
-            if states[s].as_ref() != Some(&merged) {
-                states[s] = Some(merged);
-                work.push(s);
+        Insn::DpAggregate { dst, map } => {
+            map_ok(*map)?;
+            reg_ok(*dst)?;
+        }
+        // Verdict convention: r0 should be set. We require it.
+        Insn::Exit => read(crate::bytecode::Reg(0))?,
+        Insn::TailCall { table } => {
+            if table.0 as usize >= prog.tables.len() {
+                return Err(VerifyError::UnknownTable(table.0));
             }
         }
     }

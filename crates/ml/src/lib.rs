@@ -9,11 +9,11 @@
 //! integer models by [`quant`] before being pushed into the VM.
 //!
 //! The model zoo matches the paper's Figure 1: integer decision trees
-//! ([`tree`], trained online by [`online`]), integer SVMs ([`svm`]), and
-//! quantized DNNs ([`quant`]). Supporting machinery implements the
-//! paper's stated techniques: knowledge distillation ([`distill`]),
-//! feature-importance ranking for lean monitoring ([`feature`]), and
-//! static cost estimation for verifier admission ([`cost`]).
+//! ([`tree`]), integer SVMs ([`svm`]), and quantized DNNs ([`quant`]).
+//! Supporting machinery implements the paper's stated techniques:
+//! knowledge distillation ([`distill`]), feature-importance ranking
+//! for lean monitoring ([`feature`]), and static cost estimation for
+//! verifier admission ([`cost`]).
 //!
 //! # Examples
 //!
@@ -45,7 +45,6 @@ pub mod feature;
 pub mod fixed;
 pub mod metrics;
 pub mod mlp;
-pub mod online;
 pub mod quant;
 pub mod search;
 pub mod svm;

@@ -203,6 +203,13 @@ if grep -nE 'CtrlLog|Mutex<Vec<CtrlRequest>>|fn drain\(' crates/core/src/shard.r
     exit 1
 fi
 
+echo "==> one analysis core: control flow and dataflow live in analysis.rs"
+if grep -nE 'struct Cfg|fn leaders|let mut succs|let mut reachable|edge_blocks|let live_out' \
+    crates/core/src/verifier.rs crates/core/src/opt.rs; then
+    echo "ERROR: a hand-rolled CFG walk or solver is back in verifier.rs/opt.rs (use crates/core/src/analysis.rs)" >&2
+    exit 1
+fi
+
 echo "==> dependency closure must be workspace-only"
 external=$(cargo tree --offline --workspace --edges normal,build,dev \
     | grep -oE '[a-z0-9_-]+ v[0-9][0-9.]*' | sort -u | grep -v '^rkd' || true)

@@ -237,6 +237,69 @@ fn rejects_model_arity_mismatch() {
     ));
 }
 
+/// Branches on the entry argument, loads `v0` with `fall_len` features
+/// on the fall-through arm and `jump_len` on the jump arm, then feeds
+/// it to a 2-feature model.
+fn mirrored_lengths(fall_len: u16, jump_len: u16) -> RmtProgram {
+    let mut b = ProgramBuilder::new("p");
+    let f = b.field_readonly("x");
+    b.field_readonly("y");
+    let svm = b.model(
+        "svm",
+        ModelSpec::Svm(IntSvm {
+            weights: vec![Fix::ONE; 2],
+            bias: Fix::ZERO,
+        }),
+        LatencyClass::Background,
+    );
+    let load = |len| Insn::VectorLdCtxt {
+        dst: VReg(0),
+        base: f,
+        len,
+    };
+    b.action(Action::new(
+        "ml",
+        vec![
+            Insn::JmpIfImm {
+                cmp: CmpOp::Eq,
+                lhs: Reg(9),
+                imm: 0,
+                target: 3,
+            },
+            load(fall_len),
+            Insn::Jmp { target: 4 },
+            load(jump_len),
+            Insn::CallMl {
+                model: svm,
+                src: VReg(0),
+            },
+            Insn::Exit,
+        ],
+    ));
+    b.build()
+}
+
+#[test]
+fn rejects_model_input_whose_length_differs_between_paths() {
+    // Either layout is rejected: admission does not depend on which
+    // arm the verifier happens to visit first.
+    for (fall, jump) in [(1, 2), (2, 1)] {
+        assert!(
+            matches!(
+                expect_verify_error(mirrored_lengths(fall, jump)),
+                VerifyError::VectorLengthUnknown {
+                    action: 0,
+                    at: 4,
+                    model: 0
+                }
+            ),
+            "lengths {fall}/{jump}"
+        );
+    }
+    // One known length on both arms is admitted.
+    assert!(install(mirrored_lengths(2, 2)).is_ok());
+}
+
 #[test]
 fn rejects_shared_map_raw_read_and_budget_blowout() {
     // Raw read.
